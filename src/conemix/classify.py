@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -42,14 +41,9 @@ from .linalg import (
     MultiplicityPair,
     ScalarMode,
     ZeroSpectralRadiusError,
-    exact_kron,
-    exact_kernel_basis,
+    chain_pair,
     exact_matvec,
     exact_power,
-    exact_rank,
-    exact_shift,
-    multiplicities,
-    spectral_radius,
 )
 from .maps import DynMap, PositivityVerdict, is_dup, is_positive
 
@@ -239,76 +233,18 @@ def tensor_scc_count(g: Digraph) -> int:
 # spectral radius with exact snapping
 # ---------------------------------------------------------------------------
 
-def _cache(a: DynMap) -> dict:
-    cache = getattr(a, "_route_cache", None)
-    if cache is None:
-        cache = {}
-        object.__setattr__(a, "_route_cache", cache)
-    return cache
-
-
-def _mode_key(mode: ScalarMode):
-    return (mode.kind, mode.eps_rank, mode.eps_cluster, mode.eps_interior)
-
-
-def _rational_radius(a: DynMap, r: float):
-    """Rational value of the spectral radius, verified exactly, or None.
-
-    A cone-positive map whose adjoint fixes the unit has radius exactly 1;
-    otherwise a small-denominator candidate near the float value is
-    accepted only if it is exactly an eigenvalue of the exact matrix.
-    """
-    if a.exact is None:
-        return None
-    candidates = []
-    if abs(r - 1.0) <= 1e-7 and is_dup(a):
-        candidates.append(Fraction(1))
-    cand = Fraction(r).limit_denominator(10 ** 6)
-    if cand > 0 and abs(float(cand) - r) <= 1e-7 * max(1.0, r):
-        candidates.append(cand)
-    d = a.dim
-    for c in candidates:
-        if exact_rank(exact_shift(a.exact, c)) < d:
-            return c
-    return None
-
-
-def _is_exact_nilpotent(a: DynMap) -> bool:
-    if a.exact is None:
-        return False
-    if isinstance(a.cone, Orthant) and \
-            all(v >= 0 for row in a.exact for v in row):
-        # nonnegative matrix: nilpotent iff its digraph has no cycles
-        g = digraph_of(a.exact)
-        return all(len(c) == 1 and c[0] not in g.succ[c[0]]
-                   for c in strongly_connected_components(g))
-    power = exact_power(a.exact, a.dim)
-    return all(v == 0 for row in power for v in row)
-
-
 def _positive_radius(a: DynMap):
     """(float radius, exact radius or None); raises on a zero radius."""
-    cache = _cache(a)
-    if "radius" in cache:
-        value = cache["radius"]
-        if isinstance(value, ZeroSpectralRadiusError):
-            raise value
-        return value
-    r = spectral_radius(a.matrix)
-    scale = max(1.0, float(np.linalg.norm(a.matrix, 2)))
-    err = None
+    spec = a.spectrum
+    r = spec.r
+    scale = max(1.0, spec.norm2)
     if a.exact is not None:
-        if r <= 1e-3 * scale and _is_exact_nilpotent(a):
-            err = ZeroSpectralRadiusError("the map is nilpotent")
+        if r <= 1e-3 * scale and spec.nilpotent:
+            raise ZeroSpectralRadiusError("the map is nilpotent")
     elif r <= RADIUS_FLOOR * scale:
-        err = ZeroSpectralRadiusError(
+        raise ZeroSpectralRadiusError(
             f"spectral radius {r} is numerically zero")
-    if err is not None:
-        cache["radius"] = err
-        raise err
-    value = (r, _rational_radius(a, r))
-    cache["radius"] = value
-    return value
+    return r, spec.r_exact
 
 
 # ---------------------------------------------------------------------------
@@ -323,32 +259,18 @@ class _Stationary:
     y0_exact: list | None = None
 
 
-def _sign_fix_exact(v):
-    pivot = max(v, key=abs)
-    if pivot < 0:
-        return [-x for x in v]
-    return list(v)
-
-
-def _eigvec_exact(m, lam):
-    basis = exact_kernel_basis(exact_shift(m, lam))
-    if len(basis) != 1:
-        return None, len(basis)
-    return _sign_fix_exact(basis[0]), 1
-
-
 def _stationary_exact(a: DynMap, r_exact) -> _Stationary:
-    x0, gx = _eigvec_exact(a.exact, r_exact)
-    if x0 is None:
-        raise NotErgodicError(
-            f"eigenvalue {r_exact} has geometric multiplicity {gx}",
-            geometric=gx)
-    transposed = [list(col) for col in zip(*a.exact)]
-    y0, gy = _eigvec_exact(transposed, r_exact)
-    if y0 is None:
-        raise NotErgodicError(
-            f"adjoint eigenvalue {r_exact} has geometric multiplicity {gy}",
-            geometric=gy)
+    spec = a.spectrum
+    vecs = []
+    for basis, what in ((spec.chain_r[0], "eigenvalue"),
+                        (spec.left_kernel_r, "adjoint eigenvalue")):
+        if len(basis) != 1:
+            raise NotErgodicError(
+                f"{what} {r_exact} has geometric multiplicity {len(basis)}",
+                geometric=len(basis))
+        v = basis[0]
+        vecs.append([-x for x in v] if max(v, key=abs) < 0 else list(v))
+    x0, y0 = vecs
     cone = a.cone
     for vec, member in ((x0, cone.contains), (y0, cone.dual_contains)):
         try:
@@ -378,26 +300,16 @@ def _stationary_exact(a: DynMap, r_exact) -> _Stationary:
         x0_exact=x0, y0_exact=y0)
 
 
-def _phase_fixed_real(v):
-    pivot = int(np.argmax(np.abs(v)))
-    phase = v[pivot] / abs(v[pivot])
-    w = (v / phase).real
-    return w / np.sum(np.abs(w))
-
-
-def _stationary_float(a: DynMap, r: float, mode: ScalarMode) -> _Stationary:
-    geom = multiplicities(a.matrix / r, 1.0, mode).geometric
+def _stationary_float(a: DynMap, mode: ScalarMode) -> _Stationary:
+    geom = a.spectrum.peak_pair(mode).geometric
     if geom != 1:
         raise NotErgodicError(
             f"spectral radius has geometric multiplicity {geom}",
             geometric=geom)
     cone = a.cone
     vecs = []
-    for mat, member in ((a.matrix, cone.contains),
-                        (a.matrix.T, cone.dual_contains)):
-        ev, vv = np.linalg.eig(mat)
-        idx = int(np.argmin(np.abs(ev - r)))
-        v = _phase_fixed_real(vv[:, idx])
+    for v, member in zip(a.spectrum.perron_vectors,
+                         (cone.contains, cone.dual_contains)):
         try:
             if not member(v, mode):
                 if member(-v, mode):
@@ -419,24 +331,10 @@ def _stationary_float(a: DynMap, r: float, mode: ScalarMode) -> _Stationary:
 
 
 def _stationary(a: DynMap, mode: ScalarMode) -> _Stationary:
-    cache = _cache(a)
-    key = ("stationary", _mode_key(mode))
-    if key in cache:
-        value = cache[key]
-        if isinstance(value, NotErgodicError):
-            raise value
-        return value
     r, r_exact = _positive_radius(a)
-    try:
-        if a.exact is not None and r_exact is not None:
-            value = _stationary_exact(a, r_exact)
-        else:
-            value = _stationary_float(a, r, mode)
-    except NotErgodicError as err:
-        cache[key] = err
-        raise
-    cache[key] = value
-    return value
+    if r_exact is not None:
+        return _stationary_exact(a, r_exact)
+    return _stationary_float(a, mode)
 
 
 def stationary_pair(a: DynMap, mode: ScalarMode = FLOAT_MODE):
@@ -468,7 +366,11 @@ class Route:
 
 
 def _margin_probe(predicate, mode: ScalarMode) -> Route:
-    """Evaluate at the working tolerance and flag 10x sensitivity."""
+    """Evaluate at the working tolerance and flag 10x sensitivity.
+
+    Predicates only compare numbers computed beforehand against the
+    tolerances of the mode they are given.
+    """
     mid = predicate(mode)
     marginal = predicate(mode.scaled(0.1)) != predicate(mode.scaled(10.0))
     return Route(mid, exact=False, marginal=marginal)
@@ -481,20 +383,16 @@ def ergodic_routes(a: DynMap, mode: ScalarMode = FLOAT_MODE) -> dict:
     only for maps whose adjoint fixes the unit), ``eigenvalue-cluster``
     (float).
     """
-    cache = _cache(a)
-    key = ("ergodic", _mode_key(mode))
-    if key in cache:
-        return cache[key]
     r, r_exact = _positive_radius(a)
+    spec = a.spectrum
     routes = {}
-    if a.exact is not None and r_exact is not None:
-        pair = multiplicities(a.exact, r_exact, RATIONAL_MODE)
+    if r_exact is not None:
+        pair = chain_pair(spec.chain_r)
         routes["algebraic-multiplicity"] = Route(pair.algebraic == 1, True)
         if is_dup(a):
             routes["fixed-space-dim"] = Route(pair.geometric == 1, True)
     routes["eigenvalue-cluster"] = _margin_probe(
-        lambda m: multiplicities(a.matrix / r, 1.0, m).algebraic == 1, mode)
-    cache[key] = routes
+        lambda m: spec.peak_pair(m).algebraic == 1, mode)
     return routes
 
 
@@ -505,28 +403,18 @@ def mixing_routes(a: DynMap, mode: ScalarMode = FLOAT_MODE) -> dict:
     minus r^2), ``kron-geometric`` (float), ``spectral-gap`` (float oracle
     from the full eigenvalue list).
     """
-    cache = _cache(a)
-    key = ("mixing", _mode_key(mode))
-    if key in cache:
-        return cache[key]
     r, r_exact = _positive_radius(a)
+    spec = a.spectrum
     routes = {}
-    if a.exact is not None and r_exact is not None:
-        kron_exact = exact_kron(a.exact, a.exact)
-        shifted = exact_shift(kron_exact, r_exact * r_exact)
-        dim2 = a.dim * a.dim
+    if r_exact is not None:
         routes["kron-fixed-space-dim"] = Route(
-            dim2 - exact_rank(shifted) == 1, True)
-
-    big = np.kron(a.matrix, a.matrix) / (r * r)
+            chain_pair(spec.chain_r2_kron).geometric == 1, True)
     routes["kron-geometric"] = _margin_probe(
-        lambda m: multiplicities(big, 1.0, m).geometric == 1, mode)
-
-    moduli = np.abs(np.linalg.eigvals(a.matrix)) / r
+        lambda m: spec.kron_peak_pair(m).geometric == 1, mode)
+    moduli = np.abs(spec.eigenvalues) / r
     routes["spectral-gap"] = _margin_probe(
         lambda m: int(np.count_nonzero(moduli >= 1.0 - m.eps_cluster)) == 1,
         mode)
-    cache[key] = routes
     return routes
 
 
@@ -551,27 +439,26 @@ def _classical_pattern(cone: Cone) -> bool:
     return isinstance(cone, TensorCone) and isinstance(cone._inner(), Orthant)
 
 
-def _interior_pair_route(a: DynMap, base: bool, mode: ScalarMode):
+def _interior_pair_route(a: DynMap, base: bool, mode: ScalarMode) -> Route:
     """base verdict (ergodic/mixing) AND interior stationary pair."""
     if not base:
-        return Route(False, a.exact is not None), None
+        return Route(False, a.exact is not None)
     try:
         st = _stationary(a, mode)
     except NotErgodicError:
-        return Route(False, a.exact is not None), None
+        return Route(False, a.exact is not None)
     cone = a.cone
     try:
         if st.x0_exact is not None:
             inside = cone.interior_contains(st.x0_exact, RATIONAL_MODE)
             dual_inside = cone.interior_dual_contains(st.y0_exact,
                                                       RATIONAL_MODE)
-            return Route(inside and dual_inside, True), st
-        route = _margin_probe(
+            return Route(inside and dual_inside, True)
+        return _margin_probe(
             lambda m: (cone.interior_contains(st.x0, m)
                        and cone.interior_dual_contains(st.y0, m)), mode)
-        return route, st
     except UnsupportedConeOperation:
-        return Route(False, False, marginal=True), st
+        return Route(False, False, marginal=True)
 
 
 def _binomial_power_route(a: DynMap, gens, mode: ScalarMode) -> Route:
@@ -586,10 +473,9 @@ def _binomial_power_route(a: DynMap, gens, mode: ScalarMode) -> Route:
                  for g in gens)
         return Route(ok, True)
     power = np.linalg.matrix_power(np.eye(d) + a.matrix, d - 1)
-    gens_f = [np.array([float(v) for v in g]) for g in gens]
+    images = [power @ np.array([float(v) for v in g]) for g in gens]
     return _margin_probe(
-        lambda m: all(a.cone.interior_contains(power @ g, m)
-                      for g in gens_f), mode)
+        lambda m: all(a.cone.interior_contains(x, m) for x in images), mode)
 
 
 def _reachability_route(a: DynMap, gens, dual_gens,
@@ -613,24 +499,22 @@ def _reachability_route(a: DynMap, gens, dual_gens,
                 return Route(False, True)
         return Route(True, True)
 
-    gens_f = [np.array([float(v) for v in g]) for g in gens]
     duals_f = np.array([[float(v) for v in h] for h in dual_gens])
-
-    def pred(m):
-        for g in gens_f:
-            v = g.copy()
-            hit = np.zeros(n_dual, dtype=bool)
-            for _ in range(d):
-                scale = max(1e-300, float(np.linalg.norm(v)))
-                hit |= (duals_f @ v) > m.eps_interior * scale
-                if hit.all():
-                    break
-                v = a.matrix @ v
-            if not hit.all():
-                return False
-        return True
-
-    return _margin_probe(pred, mode)
+    # per generator: pairings with the dual generators, and the norm, of
+    # each of its first d images
+    traces = []
+    for g in gens:
+        v = np.array([float(x) for x in g])
+        dots, norms = [], []
+        for _ in range(d):
+            dots.append(duals_f @ v)
+            norms.append([max(1e-300, float(np.linalg.norm(v)))])
+            v = a.matrix @ v
+        traces.append((np.array(dots), np.array(norms)))
+    return _margin_probe(
+        lambda m: all(bool(np.all(np.any(dots > m.eps_interior * norms,
+                                         axis=0)))
+                      for dots, norms in traces), mode)
 
 
 def irreducible_routes(a: DynMap, mode: ScalarMode = FLOAT_MODE) -> dict:
@@ -643,7 +527,7 @@ def irreducible_routes(a: DynMap, mode: ScalarMode = FLOAT_MODE) -> dict:
     """
     ergodic = _resolve(ergodic_routes(a, mode)).value
     routes = {}
-    routes["interior-pair"], _ = _interior_pair_route(a, ergodic, mode)
+    routes["interior-pair"] = _interior_pair_route(a, ergodic, mode)
     pair = _finite_generator_pair(a.cone)
     if pair is not None:
         gens, dual_gens = pair
@@ -665,7 +549,7 @@ def primitive_routes(a: DynMap, mode: ScalarMode = FLOAT_MODE) -> dict:
     """
     mixing = _resolve(mixing_routes(a, mode)).value
     routes = {}
-    routes["interior-pair"], _ = _interior_pair_route(a, mixing, mode)
+    routes["interior-pair"] = _interior_pair_route(a, mixing, mode)
     if _classical_pattern(a.cone):
         g = digraph_of(a, mode)
         exact = a.exact is not None
@@ -834,16 +718,13 @@ def classify(a: DynMap, mode: ScalarMode = FLOAT_MODE) -> ClassificationReport:
     if a.exact is not None:
         flags.append("spectral-radius-computed-in-float")
 
-    if a.exact is not None and r_exact is not None:
-        mult_r = multiplicities(a.exact, r_exact, RATIONAL_MODE)
-        mult_r2 = multiplicities(exact_kron(a.exact, a.exact),
-                                 r_exact * r_exact, RATIONAL_MODE)
+    spec = a.spectrum
+    if r_exact is not None:
+        mult_r, mult_r2 = map(chain_pair, (spec.chain_r, spec.chain_r2_kron))
     else:
-        mult_r = multiplicities(a.matrix / r, 1.0, mode)
-        mult_r2 = multiplicities(np.kron(a.matrix, a.matrix) / (r * r),
-                                 1.0, mode)
+        mult_r, mult_r2 = spec.peak_pair(mode), spec.kron_peak_pair(mode)
 
-    moduli = np.sort(np.abs(np.linalg.eigvals(a.matrix)))[::-1]
+    moduli = np.sort(np.abs(spec.eigenvalues))[::-1]
     gap_ratio = float(moduli[1] / r) if moduli.size > 1 else None
 
     families = {

@@ -17,15 +17,17 @@ Rationals are written as strings like ``"1/2"``; the mode defaults to
 rational exactly when no float literal appears anywhere.  The environment
 variable ``CONEMIX_TOL`` overrides all three tolerances at once.
 
-Exit codes: 0 success; 2 schema or input errors; 3 classification of a map
-that is not cone-positive (the report is still emitted); 4 a simulation
-whose unit-normalization vanished.
+Exit codes: 0 success; 2 schema or input errors, and simulations of a map
+with zero spectral radius; 3 classification of a map that is not
+cone-positive (the report is still emitted); 4 a simulation whose
+unit-normalization vanished.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -58,7 +60,7 @@ from .dynamics import (
     decoupling_trace,
     power_trajectory,
 )
-from .linalg import FLOAT, RATIONAL, ScalarMode
+from .linalg import FLOAT, RATIONAL, ScalarMode, ZeroSpectralRadiusError
 from .maps import (
     ColumnSumViolationError,
     DynMap,
@@ -125,14 +127,14 @@ def _parse_cone(spec, where="cone") -> Cone:
     if not isinstance(spec, dict) or "type" not in spec:
         raise SchemaError(f"{where}: expected an object with a \"type\" key")
     kind = spec["type"]
-    if kind == "orthant":
-        if "dim" not in spec:
-            raise SchemaError(f"{where}: orthant requires \"dim\"")
-        return Orthant(int(spec["dim"]))
-    if kind == "psd":
-        if "hdim" not in spec:
-            raise SchemaError(f"{where}: psd requires \"hdim\"")
-        return Psd(int(spec["hdim"]))
+    if kind in ("orthant", "psd"):
+        key, cls = ("dim", Orthant) if kind == "orthant" else ("hdim", Psd)
+        if key not in spec:
+            raise SchemaError(f"{where}: {kind} requires \"{key}\"")
+        try:
+            return cls(int(spec[key]))
+        except (TypeError, ValueError) as err:
+            raise SchemaError(f"{where}.{key}: {err}")
     if kind == "polyhedral":
         gens = spec.get("generators")
         if not isinstance(gens, list) or not gens:
@@ -166,17 +168,29 @@ def _parse_kraus_op(op, where):
     return re + 1j * im
 
 
-def _parse_tolerances(doc, env_tol):
+def _tolerance(value, where) -> float:
+    try:
+        tol = float(value)
+    except (TypeError, ValueError):
+        raise SchemaError(f"{where}: expected a number, got {value!r}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise SchemaError(f"{where}: must be positive and finite, got "
+                          f"{value!r}")
+    return tol
+
+
+def _parse_tolerances(doc):
     eps = {"eps_rank": 1e-9, "eps_cluster": 1e-7, "eps_interior": 1e-10}
-    if env_tol is not None:
-        eps = {k: env_tol for k in eps}
+    env = os.environ.get("CONEMIX_TOL")
+    if env:
+        eps = dict.fromkeys(eps, _tolerance(env, "CONEMIX_TOL"))
     tols = doc.get("tolerances", {})
     if not isinstance(tols, dict):
         raise SchemaError("tolerances: expected an object")
     for key, value in tols.items():
         if key not in eps:
             raise SchemaError(f"tolerances: unknown key {key!r}")
-        eps[key] = float(value)
+        eps[key] = _tolerance(value, f"tolerances.{key}")
     return eps
 
 
@@ -196,16 +210,7 @@ def load_problem(path, forced_mode=None):
     if "map" not in doc:
         raise SchemaError(f"{path}: missing \"map\"")
 
-    env_tol = None
-    env = os.environ.get("CONEMIX_TOL")
-    if env:
-        try:
-            env_tol = float(env)
-        except ValueError:
-            raise SchemaError(f"CONEMIX_TOL={env!r} is not a number")
-        if env_tol <= 0:
-            raise SchemaError(f"CONEMIX_TOL={env!r} must be positive")
-    eps = _parse_tolerances(doc, env_tol)
+    eps = _parse_tolerances(doc)
 
     map_spec = doc["map"]
     if not isinstance(map_spec, dict) or "type" not in map_spec:
@@ -526,7 +531,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SchemaError as err:
+    except (SchemaError, ZeroSpectralRadiusError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except NormalizationVanishedError as err:

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .cones import (
     Cone,
@@ -25,7 +24,7 @@ from .cones import (
     TensorCone,
     UnsupportedConeOperation,
 )
-from .linalg import FLOAT_MODE, ScalarMode, ZeroSpectralRadiusError, spectral_radius
+from .linalg import FLOAT_MODE, ScalarMode, ZeroSpectralRadiusError
 from .maps import DynMap
 
 __all__ = [
@@ -118,12 +117,37 @@ class _WindowJudge:
 
 
 def _normalized_matrix(a: DynMap) -> np.ndarray:
-    r = spectral_radius(a.matrix)
-    scale = max(1.0, float(np.linalg.norm(a.matrix, 2)))
-    if r <= 1e-9 * scale:
+    r = a.spectrum.r
+    if r <= 1e-9 * max(1.0, a.spectrum.norm2):
         raise ZeroSpectralRadiusError(
             f"spectral radius {r} is numerically zero")
     return a.matrix / r
+
+
+def _normalized_trajectory(kind: str, a: DynMap, x, n_max: int, tol: float,
+                           window: int) -> TrajectoryRecord:
+    """Iterates (``power``) or running averages (``cesaro``) of the
+    radius-normalized map applied to x, judged over a sliding window."""
+    m = _normalized_matrix(a)
+    v = np.asarray(x, dtype=float)
+    shown = v.copy()
+    record = TrajectoryRecord(kind, [shown.copy()])
+    judge = _WindowJudge(tol, window)
+    for step in range(1, n_max + 1):
+        v = m @ v
+        new = (step * shown + v) / (step + 1) if kind == "cesaro" else v
+        diff = float(np.linalg.norm(new - shown))
+        shown = new
+        record.iterates.append(shown.copy())
+        verdict = judge.feed(diff, float(np.linalg.norm(shown)), step)
+        if verdict is not None:
+            if verdict.converged:
+                verdict = Verdict("converged", limit=shown.copy(),
+                                  at_step=verdict.at_step)
+            record.verdict = verdict
+            return record
+    record.verdict = Verdict("undecided")
+    return record
 
 
 def cesaro_trajectory(a: DynMap, x, n_max: int, tol: float = 1e-10,
@@ -134,26 +158,7 @@ def cesaro_trajectory(a: DynMap, x, n_max: int, tol: float = 1e-10,
     x onto the stationary direction; a linearly growing average is reported
     as diverged.
     """
-    m = _normalized_matrix(a)
-    v = np.asarray(x, dtype=float)
-    avg = v.copy()
-    record = TrajectoryRecord("cesaro", [avg.copy()])
-    judge = _WindowJudge(tol, window)
-    for step in range(1, n_max + 1):
-        v = m @ v
-        new_avg = (step * avg + v) / (step + 1)
-        diff = float(np.linalg.norm(new_avg - avg))
-        avg = new_avg
-        record.iterates.append(avg.copy())
-        verdict = judge.feed(diff, float(np.linalg.norm(avg)), step)
-        if verdict is not None:
-            if verdict.converged:
-                verdict = Verdict("converged", limit=avg.copy(),
-                                  at_step=verdict.at_step)
-            record.verdict = verdict
-            return record
-    record.verdict = Verdict("undecided")
-    return record
+    return _normalized_trajectory("cesaro", a, x, n_max, tol, window)
 
 
 def power_trajectory(a: DynMap, x, n_max: int, tol: float = 1e-10,
@@ -163,24 +168,7 @@ def power_trajectory(a: DynMap, x, n_max: int, tol: float = 1e-10,
     Converges to the rank-one projection of x exactly when the map is
     mixing (or x has no weight on the non-peak spectrum).
     """
-    m = _normalized_matrix(a)
-    v = np.asarray(x, dtype=float)
-    record = TrajectoryRecord("power", [v.copy()])
-    judge = _WindowJudge(tol, window)
-    for step in range(1, n_max + 1):
-        new_v = m @ v
-        diff = float(np.linalg.norm(new_v - v))
-        v = new_v
-        record.iterates.append(v.copy())
-        verdict = judge.feed(diff, float(np.linalg.norm(v)), step)
-        if verdict is not None:
-            if verdict.converged:
-                verdict = Verdict("converged", limit=v.copy(),
-                                  at_step=verdict.at_step)
-            record.verdict = verdict
-            return record
-    record.verdict = Verdict("undecided")
-    return record
+    return _normalized_trajectory("power", a, x, n_max, tol, window)
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +260,8 @@ def u_norm(x, u, cone: Cone, mode: ScalarMode = FLOAT_MODE) -> float:
         if not isinstance(inner, Polyhedral):
             raise UnsupportedConeOperation(
                 "no u-norm for tensor cones with PSD operands")
+        # imported here: scipy.optimize costs most of the package import
+        from scipy.optimize import linprog
         gens = np.array([[float(v) for v in g] for g in inner._gens])
         bound = gens @ uf
         # max <x, y> over G y <= G u and -G y <= G u; the feasible set is

@@ -3,15 +3,17 @@
 Floating-point work (eigenvalues, singular values, large products) runs on
 numpy float64 arrays.  Rank and kernel questions, which decide the
 classification verdicts, additionally have an exact path over
-``fractions.Fraction`` entries: fraction-free (Bareiss) elimination over
-cleared-denominator integers for ranks, and plain rational Gauss-Jordan for
-kernel bases.  Exact matrices are represented as lists of lists of Fraction.
+``fractions.Fraction`` entries: one fraction-free Gauss-Jordan elimination
+over cleared-denominator integers gives ranks, kernel bases and, through
+kernel chains, multiplicities.  :class:`Spectrum` keeps the spectral facts
+of one map.  Exact matrices are represented as lists of lists of Fraction.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -44,6 +46,8 @@ __all__ = [
     "exact_sub",
     "exact_matmul",
     "is_rational_entry",
+    "chain_pair",
+    "Spectrum",
 ]
 
 
@@ -154,7 +158,7 @@ def exact_matvec(a: ExactMatrix, v: Sequence[Fraction]) -> list:
 
 
 def _integer_rows(m: ExactMatrix) -> list:
-    """Clear denominators row by row (rank-preserving)."""
+    """Clear denominators row by row (keeps the row space and the kernel)."""
     out = []
     for row in m:
         lcm = 1
@@ -164,65 +168,94 @@ def _integer_rows(m: ExactMatrix) -> list:
     return out
 
 
-def exact_rank(m: ExactMatrix) -> int:
-    """Rank by fraction-free Bareiss elimination over integers."""
+def _echelon(m: ExactMatrix):
+    """Fraction-free Gauss-Jordan form of m over cleared-denominator integers.
+
+    Returns ``(rows, pivots, p)``: the integer rows, the pivot column of each
+    leading row, and the value every pivot entry ends with.  A step with
+    pivot ``p`` in column ``c`` replaces every other row by
+    ``(p * row - row[c] * pivot_row) // prev``, rows above the pivot
+    included (Bareiss 1968, carried to Gauss-Jordan form as in Nakos,
+    Turner & Williams 1997).  Every entry stays a minor of the input, so
+    the divisions are exact and no Fraction is ever formed.
+    """
     a = _integer_rows(m)
-    if not a:
-        return 0
-    n_rows, n_cols = len(a), len(a[0])
-    rank = 0
+    n_rows = len(a)
+    pivots = []
     prev = 1
-    for col in range(n_cols):
+    for col in range(len(a[0]) if a else 0):
+        rank = len(pivots)
+        if rank == n_rows:
+            break
         pivot = next((i for i in range(rank, n_rows) if a[i][col] != 0), None)
         if pivot is None:
             continue
         a[rank], a[pivot] = a[pivot], a[rank]
         pr = a[rank]
-        for i in range(rank + 1, n_rows):
-            ri = a[i]
-            f = ri[col]
-            for j in range(col, n_cols):
-                ri[j] = (ri[j] * pr[col] - f * pr[j]) // prev
-        prev = pr[col]
-        rank += 1
-        if rank == n_rows:
-            break
-    return rank
+        p = pr[col]
+        for i, ri in enumerate(a):
+            if i != rank:
+                f = ri[col]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(ri, pr)]
+        pivots.append(col)
+        prev = p
+    return a, pivots, prev
+
+
+def exact_rank(m: ExactMatrix) -> int:
+    """Rank: the pivot count of the fraction-free elimination."""
+    return len(_echelon(m)[1])
 
 
 def exact_kernel_basis(m: ExactMatrix) -> list:
-    """Basis of the null space, as lists of Fractions (Gauss-Jordan)."""
-    a = [list(row) for row in m]
-    n_rows = len(a)
-    n_cols = len(a[0]) if n_rows else 0
-    pivots = []
-    r = 0
-    for c in range(n_cols):
-        pivot = next((i for i in range(r, n_rows) if a[i][c] != 0), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(n_rows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(n_cols) if c not in pivots]
+    """Basis of the null space, as lists of Fractions.
+
+    One vector per free column, equal to 1 there and 0 on the other free
+    columns (the reduced row-echelon basis).
+    """
+    rows, pivots, p = _echelon(m)
+    n_cols = len(m[0]) if m else 0
     basis = []
-    for fc in free:
+    for fc in sorted(set(range(n_cols)) - set(pivots)):
         v = [Fraction(0)] * n_cols
         v[fc] = Fraction(1)
-        for row_idx, pc in enumerate(pivots):
-            v[pc] = -a[row_idx][fc]
+        for row, pc in zip(rows, pivots):
+            v[pc] = Fraction(-row[fc], p)
         basis.append(v)
     return basis
 
 
+def _kernel_chain(m: ExactMatrix, lam) -> list:
+    """Kernel bases of ``S^k``, ``S = m - lam I``, for k = 1, 2, ...
+
+    ``x`` lies in ``ker S^(k+1)`` exactly when ``S x = K_k y`` for a basis
+    matrix ``K_k`` of ``ker S^k``, so each step is one elimination of
+    ``[S | -K_k]``, keeping the ``x`` part of its kernel.  The chain stops
+    when the dimension stops growing; it is empty when ``lam`` is not an
+    eigenvalue.  Geometric multiplicity is the first dimension, algebraic
+    the last, and the largest Jordan block the length.
+    """
+    n = len(m)
+    shifted = exact_shift(m, Fraction(lam))
+    chain = []
+    basis = exact_kernel_basis(shifted)
+    while basis and (not chain or len(basis) > len(chain[-1])):
+        chain.append(basis)
+        if len(basis) == n:
+            break
+        aug = [row + [-v[i] for v in basis] for i, row in enumerate(shifted)]
+        basis = [v[:n] for v in exact_kernel_basis(aug)]
+    return chain
+
+
+def chain_pair(chain: list) -> "MultiplicityPair":
+    """(geometric, algebraic) multiplicity read off a kernel chain."""
+    if not chain:
+        return MultiplicityPair(0, 0)
+    return MultiplicityPair(len(chain[0]), len(chain[-1]))
+
+
 def exact_kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    p, q = len(b), len(b[0])
     out = []
     for ra in a:
         for rb in b:
@@ -266,12 +299,25 @@ def mat_power(m, n: int):
     return np.linalg.matrix_power(as_float(m), n)
 
 
-def _float_kernel_dim(m: np.ndarray, mode: ScalarMode,
-                      scale: float = 0.0) -> int:
-    sv = np.linalg.svd(m, compute_uv=False)
+def _count_null(sv: np.ndarray, mode: ScalarMode, scale: float = 0.0) -> int:
+    """Singular values at or below ``eps_rank`` times the largest one (or
+    ``scale``, when that is larger)."""
     if sv.size == 0 or max(sv[0], scale) == 0.0:
-        return m.shape[1]
+        return sv.size
     return int(np.count_nonzero(sv <= mode.eps_rank * max(sv[0], scale)))
+
+
+def _float_pair(offsets: np.ndarray, shift_sv: np.ndarray, scale: float,
+                mode: ScalarMode) -> MultiplicityPair:
+    """Float multiplicities of ``lam`` from the eigenvalues minus ``lam``
+    (algebraic: those within ``eps_cluster``) and the singular values of
+    ``m - lam I`` (geometric: the small ones, clamped to ``[1, algebraic]``).
+    """
+    algebraic = int(np.count_nonzero(np.abs(offsets) <= mode.eps_cluster))
+    if algebraic == 0:
+        return MultiplicityPair(0, 0)
+    geometric = _count_null(shift_sv, mode, scale)
+    return MultiplicityPair(max(1, min(geometric, algebraic)), algebraic)
 
 
 def kernel_dim(m, mode: ScalarMode = FLOAT_MODE, scale: float = 0.0) -> int:
@@ -285,7 +331,8 @@ def kernel_dim(m, mode: ScalarMode = FLOAT_MODE, scale: float = 0.0) -> int:
     """
     if _is_exact_matrix(m) and mode.exact:
         return len(m) - exact_rank(m)
-    return _float_kernel_dim(as_float(m), mode, scale)
+    return _count_null(np.linalg.svd(as_float(m), compute_uv=False), mode,
+                       scale)
 
 
 def kernel_basis(m, mode: ScalarMode = FLOAT_MODE):
@@ -294,11 +341,7 @@ def kernel_basis(m, mode: ScalarMode = FLOAT_MODE):
         return exact_kernel_basis(m)
     a = as_float(m)
     u, sv, vt = np.linalg.svd(a)
-    if sv.size and sv[0] > 0:
-        null_mask = sv <= mode.eps_rank * sv[0]
-    else:
-        null_mask = np.ones_like(sv, dtype=bool)
-    rank = int(np.count_nonzero(~null_mask))
+    rank = sv.size - _count_null(sv, mode)
     return [vt[i] for i in range(rank, a.shape[1])]
 
 
@@ -309,56 +352,25 @@ def eigenvalues(m) -> np.ndarray:
 
 def spectral_radius(m) -> float:
     """Largest absolute value among the eigenvalues."""
-    ev = eigenvalues(m)
-    if ev.size == 0:
-        return 0.0
-    return float(np.max(np.abs(ev)))
+    return float(np.max(np.abs(eigenvalues(m)), initial=0.0))
 
 
 def multiplicities(m, lam, mode: ScalarMode = FLOAT_MODE) -> MultiplicityPair:
     """Geometric and algebraic multiplicity of ``lam`` as an eigenvalue of m.
 
-    Exact path (rational ``lam``, exact matrix): geometric is
-    ``d - rank(m - lam I)`` and algebraic is ``dim ker (m - lam I)^d``, the
-    generalized eigenspace having stabilized by power d.  Float path:
-    geometric from a singular-value rank, algebraic by counting computed
-    eigenvalues within ``eps_cluster`` of ``lam``.  Returns (0, 0) when
-    ``lam`` is not an eigenvalue.
+    Exact path (rational ``lam``, exact matrix): read off the kernel chain
+    of ``m - lam I``.  Float path: geometric from a singular-value rank,
+    algebraic by counting computed eigenvalues within ``eps_cluster`` of
+    ``lam``.  Returns (0, 0) when ``lam`` is not an eigenvalue.
     """
     if _is_exact_matrix(m) and mode.exact:
-        lam = Fraction(lam)
-        d = len(m)
-        shifted = exact_shift(m, lam)
-        geometric = d - exact_rank(shifted)
-        if geometric == 0:
-            return MultiplicityPair(0, 0)
-        # kernel of (m - lam I)^k grows with k until the generalized
-        # eigenspace is reached; doubling k detects stabilization without
-        # ever forming the d-th power
-        power = shifted
-        rank = d - geometric
-        k = 1
-        while k < d:
-            power = exact_matmul(power, power)
-            k *= 2
-            rank2 = exact_rank(power)
-            if rank2 == rank:
-                break
-            rank = rank2
-        return MultiplicityPair(geometric, d - rank)
-
+        return chain_pair(_kernel_chain(m, lam))
     a = as_float(m)
-    d = a.shape[0]
     lam = complex(lam)
-    ev = np.linalg.eigvals(a)
-    algebraic = int(np.count_nonzero(np.abs(ev - lam) <= mode.eps_cluster))
-    if algebraic == 0:
-        return MultiplicityPair(0, 0)
-    shifted = a.astype(complex) - lam * np.eye(d)
-    scale = float(np.linalg.norm(a, 2)) + abs(lam)
-    geometric = _float_kernel_dim(shifted, mode, scale)
-    geometric = max(1, min(geometric, algebraic))
-    return MultiplicityPair(geometric, algebraic)
+    shift_sv = np.linalg.svd(a.astype(complex) - lam * np.eye(len(a)),
+                             compute_uv=False)
+    return _float_pair(np.linalg.eigvals(a) - lam, shift_sv,
+                       float(np.linalg.norm(a, 2)) + abs(lam), mode)
 
 
 def eigenvalue_degree(m, lam, mode: ScalarMode = FLOAT_MODE) -> int:
@@ -367,21 +379,124 @@ def eigenvalue_degree(m, lam, mode: ScalarMode = FLOAT_MODE) -> int:
     Diagnostic: the smallest k with ``dim ker (m - lam I)^k`` equal to the
     algebraic multiplicity.
     """
+    if _is_exact_matrix(m) and mode.exact:
+        return len(_kernel_chain(m, lam))
     pair = multiplicities(m, lam, mode)
     if pair.algebraic == 0:
         return 0
-    if _is_exact_matrix(m) and mode.exact:
-        shifted = exact_shift(m, Fraction(lam))
-        power = exact_identity(len(m))
-        for k in range(1, len(m) + 1):
-            power = exact_matmul(power, shifted)
-            if len(m) - exact_rank(power) == pair.algebraic:
-                return k
-        return len(m)
     a = as_float(m).astype(complex) - complex(lam) * np.eye(len(as_float(m)))
     power = np.eye(a.shape[0], dtype=complex)
     for k in range(1, a.shape[0] + 1):
         power = power @ a
-        if _float_kernel_dim(power, mode) >= pair.algebraic:
+        if _count_null(np.linalg.svd(power, compute_uv=False),
+                       mode) >= pair.algebraic:
             return k
     return a.shape[0]
+
+
+# ---------------------------------------------------------------------------
+# the spectrum of one map
+# ---------------------------------------------------------------------------
+
+class Spectrum:
+    """Spectral facts of one square matrix, each computed on first use.
+
+    No fact depends on a :class:`ScalarMode`: readers compare these numbers
+    against their own tolerances.  The ``kron`` facts belong to the
+    normalized Kronecker square ``A (x) A / r^2``, of which only the
+    spectra are kept.  The chains are exact kernel chains (see
+    ``_kernel_chain``) and are empty without a verified rational radius.
+    """
+
+    def __init__(self, matrix: np.ndarray, exact: ExactMatrix | None = None):
+        self.matrix = matrix
+        self.exact = exact
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        return np.linalg.eigvals(self.matrix)
+
+    @cached_property
+    def r(self) -> float:
+        return float(np.max(np.abs(self.eigenvalues), initial=0.0))
+
+    @cached_property
+    def norm2(self) -> float:
+        return float(np.linalg.norm(self.matrix, 2))
+
+    @cached_property
+    def _shift_sv(self) -> np.ndarray:
+        d = len(self.matrix)
+        return np.linalg.svd(self.matrix / self.r - np.eye(d),
+                             compute_uv=False)
+
+    @cached_property
+    def _kron_spectra(self) -> tuple:
+        """Eigenvalues of the normalized Kronecker square, and singular
+        values of it minus the identity."""
+        big = np.kron(self.matrix, self.matrix) / (self.r * self.r)
+        ev = np.linalg.eigvals(big)
+        big[np.diag_indices_from(big)] -= 1.0
+        return ev, np.linalg.svd(big, compute_uv=False)
+
+    def peak_pair(self, mode: ScalarMode) -> MultiplicityPair:
+        """Float multiplicities of r at mode's tolerances."""
+        return _float_pair(self.eigenvalues / self.r - 1.0, self._shift_sv,
+                           self.norm2 / self.r + 1.0, mode)
+
+    def kron_peak_pair(self, mode: ScalarMode) -> MultiplicityPair:
+        """Float multiplicities of r^2 on the Kronecker square."""
+        ev, shift_sv = self._kron_spectra
+        return _float_pair(ev - 1.0, shift_sv, (self.norm2 / self.r) ** 2 + 1.0,
+                           mode)
+
+    @cached_property
+    def perron_vectors(self) -> tuple:
+        """Eigenvectors of the matrix and of its transpose for the
+        eigenvalue nearest r, rotated so the largest entry is real and
+        positive, made real and l1-normalized."""
+        out = []
+        for mat in (self.matrix, self.matrix.T):
+            ev, vv = np.linalg.eig(mat)
+            v = vv[:, int(np.argmin(np.abs(ev - self.r)))]
+            pivot = v[int(np.argmax(np.abs(v)))]
+            w = (v / (pivot / abs(pivot))).real
+            out.append(w / np.sum(np.abs(w)))
+        return tuple(out)
+
+    @cached_property
+    def _r_candidate(self) -> Fraction | None:
+        cand = Fraction(self.r).limit_denominator(10 ** 6)
+        if self.exact is None or cand <= 0 or \
+                abs(float(cand) - self.r) > 1e-7 * max(1.0, self.r):
+            return None
+        return cand
+
+    @cached_property
+    def chain_r(self) -> list:
+        """Kernel chain at the small-denominator rational next to r."""
+        cand = self._r_candidate
+        return [] if cand is None else _kernel_chain(self.exact, cand)
+
+    @property
+    def r_exact(self) -> Fraction | None:
+        """r as a rational verified to be an exact eigenvalue, else None."""
+        return self._r_candidate if self.chain_r else None
+
+    @cached_property
+    def chain_r2_kron(self) -> list:
+        r = self.r_exact
+        return [] if r is None else \
+            _kernel_chain(exact_kron(self.exact, self.exact), r * r)
+
+    @cached_property
+    def left_kernel_r(self) -> list:
+        """Exact kernel basis of ``A^T - r I`` (needs a rational r)."""
+        transposed = [list(col) for col in zip(*self.exact)]
+        return exact_kernel_basis(exact_shift(transposed, self.r_exact))
+
+    @cached_property
+    def nilpotent(self) -> bool:
+        """Exact matrices only: is 0 an eigenvalue of full multiplicity?"""
+        return chain_pair(_kernel_chain(self.exact, 0)).algebraic == \
+            len(self.exact)

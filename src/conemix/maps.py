@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from .cones import (
     UnsupportedConeOperation,
     validate_unit,
 )
-from .linalg import FLOAT_MODE, ScalarMode, as_float, is_rational_entry
+from .linalg import FLOAT_MODE, ScalarMode, Spectrum, as_float, is_rational_entry
 
 __all__ = [
     "DynMap",
@@ -86,6 +87,11 @@ class DynMap:
     @property
     def dim(self) -> int:
         return self.cone.dim
+
+    @cached_property
+    def spectrum(self) -> Spectrum:
+        """Spectral facts of the map, each computed once on first use."""
+        return Spectrum(self.matrix, self.exact)
 
 
 @dataclass(frozen=True)

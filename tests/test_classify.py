@@ -422,3 +422,37 @@ def test_mixing_routes_all_present_for_exact_dup():
     assert set(routes) == {"kron-fixed-space-dim", "kron-geometric",
                            "spectral-gap"}
     assert all(r.value for r in routes.values())
+
+
+# float maps near the clustering cutoff: eigenvalues 1 and 1 - 2e, so the
+# eps_cluster = 1e-7 probes at 1e-8, 1e-7 and 1e-6 straddle the gap
+NEAR_IDENTITY_FLAGS = {
+    3e-8: (False, [
+        "tolerance-marginal:ergodic:eigenvalue-cluster",
+        "tolerance-marginal:mixing:spectral-gap",
+        "route-disagreement:mixing:kron-geometric=True,spectral-gap=False",
+        "route-disagreement:irreducible:binomial-power=True,digraph=True,"
+        "interior-pair=False,reachability=True",
+        "lattice-correction:mixing-without-ergodic",
+        "lattice-correction:primitive-needs-mixing-irreducible"]),
+    1e-9: (False, [
+        "tolerance-marginal:mixing:kron-geometric",
+        "tolerance-marginal:irreducible:binomial-power",
+        "route-disagreement:irreducible:binomial-power=True,digraph=True,"
+        "interior-pair=False,reachability=True",
+        "route-disagreement:primitive:aperiodic=True,interior-pair=False,"
+        "kron-digraph=True",
+        "no-stationary-pair: spectral radius has geometric multiplicity 2"]),
+    2e-7: (True, ["tolerance-marginal:ergodic:eigenvalue-cluster",
+                  "tolerance-marginal:mixing:spectral-gap"]),
+    1e-3: (True, []),
+}
+
+
+@pytest.mark.parametrize("e", sorted(NEAR_IDENTITY_FLAGS))
+def test_tolerance_marginal_flags_near_identity(e):
+    verdict, flags = NEAR_IDENTITY_FLAGS[e]
+    rep = classify(from_stochastic([[1 - e, e], [e, 1 - e]]))
+    assert rep.verdicts() == dict.fromkeys(
+        ("ergodic", "mixing", "irreducible", "primitive"), verdict)
+    assert rep.hypothesis_flags == flags

@@ -1,13 +1,17 @@
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from conemix.cli import load_problem, main, problem_to_dict, report_to_dict
 from conemix.classify import classify
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -296,3 +300,41 @@ def test_report_to_dict_shape():
                         "gap_ratio", "criteria_fired", "hypothesis_flags",
                         "timings"}
     assert isinstance(doc["hypothesis_flags"], list)
+
+
+NILPOTENT = {"cone": {"type": "orthant", "dim": 2},
+             "map": {"type": "matrix", "data": [[0, 1], [0, 0]]}}
+IDENTITY_CHAIN = {"map": {"type": "stochastic", "data": [[1, 0], [0, 1]]}}
+
+
+@pytest.mark.parametrize("doc, command", [
+    ({"cone": {"type": "orthant", "dim": "x"},
+      "map": {"type": "matrix", "data": [[1, 0], [0, 1]]}}, "classify"),
+    ({"cone": {"type": "psd", "hdim": 0},
+      "map": {"type": "matrix", "data": [[1]]}}, "classify"),
+    (dict(IDENTITY_CHAIN, tolerances={"eps_rank": "abc"}), "classify"),
+    (dict(IDENTITY_CHAIN, tolerances={"eps_rank": -1}), "classify"),
+    (NILPOTENT, "simulate"),
+], ids=["orthant-dim-x", "psd-hdim-0", "tolerance-abc", "tolerance-negative",
+        "simulate-nilpotent"])
+def test_malformed_input_exits_2(tmp_path, capsys, doc, command):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    argv = [command, str(path)]
+    if command == "simulate":
+        argv += ["--init", "1,1", "--steps", "3"]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    probe = ("import sys, conemix.cli; "
+             "print('scipy.optimize' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

@@ -193,3 +193,117 @@ def test_scalar_mode_validation():
 def test_as_exact_rejects_floats():
     with pytest.raises(TypeError):
         la.as_exact([[0.5]])
+
+
+# ---------------------------------------------------------------------------
+# known answers for the exact layer, built so the answer is known by
+# construction: unimodular integer factors change neither rank nor Jordan
+# structure
+# ---------------------------------------------------------------------------
+
+def _matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+            for row in a]
+
+
+def _unimodular_pair(rng, n):
+    """(P, P^-1): a product of integer shears and a signed permutation."""
+    p = [[int(i == j) for j in range(n)] for i in range(n)]
+    p_inv = [row[:] for row in p]
+    for _ in range(2 * n if n > 1 else 0):
+        i, j = (int(v) for v in rng.choice(n, 2, replace=False))
+        c = int(rng.choice([-2, -1, 1, 2]))
+        shear = [[int(a == b) + (c if (a, b) == (i, j) else 0)
+                  for b in range(n)] for a in range(n)]
+        unshear = [[int(a == b) - (c if (a, b) == (i, j) else 0)
+                    for b in range(n)] for a in range(n)]
+        p, p_inv = _matmul(shear, p), _matmul(p_inv, unshear)
+    perm = [int(v) for v in rng.permutation(n)]
+    signs = [int(rng.choice([-1, 1])) for _ in range(n)]
+    signed = [[signs[a] if b == perm[a] else 0 for b in range(n)]
+              for a in range(n)]
+    signed_inv = [[signs[b] if a == perm[b] else 0 for b in range(n)]
+                  for a in range(n)]
+    return _matmul(signed, p), _matmul(p_inv, signed_inv)
+
+
+RANK_SHAPES = [(1, 1), (1, 5), (5, 1), (3, 3), (4, 6), (6, 4), (5, 5), (2, 7)]
+
+
+def test_exact_rank_of_unimodular_products():
+    rng = np.random.default_rng(101)
+    for case in range(240):
+        m, n = RANK_SHAPES[case % len(RANK_SHAPES)]
+        k = int(rng.integers(0, min(m, n) + 1))
+        p, _ = _unimodular_pair(rng, m)
+        q, _ = _unimodular_pair(rng, n)
+        d = [[int(i == j and i < k) for j in range(n)] for i in range(m)]
+        # rescaling rows by nonzero rationals keeps the rank and the kernel
+        mat = [[Fraction(v, s) for v in row] for row, s in
+               zip(_matmul(_matmul(p, d), q),
+                   (int(rng.integers(1, 7)) for _ in range(m)))]
+        assert la.exact_rank(mat) == k
+        basis = la.kernel_basis(mat, la.RATIONAL_MODE)
+        assert len(basis) == n - k
+        assert all(sum(x * y for x, y in zip(row, v)) == 0
+                   for row in mat for v in basis)
+
+
+def test_exact_kernel_basis_of_known_echelon_forms():
+    rng = np.random.default_rng(102)
+    for case in range(240):
+        m, n = RANK_SHAPES[case % len(RANK_SHAPES)]
+        k = int(rng.integers(0, min(m, n) + 1))
+        pivots = sorted(int(v) for v in rng.choice(n, k, replace=False))
+        free = [c for c in range(n) if c not in pivots]
+        # reduced row echelon form R with random entries right of each
+        # pivot on the free columns; its kernel basis is known in closed form
+        r = [[Fraction(0)] * n for _ in range(k)]
+        for i, pc in enumerate(pivots):
+            r[i][pc] = Fraction(1)
+            for fc in free:
+                if fc > pc:
+                    r[i][fc] = Fraction(int(rng.integers(-3, 4)),
+                                        int(rng.integers(1, 4)))
+        p, _ = _unimodular_pair(rng, m)
+        mat = _matmul([row[:k] for row in p], r) if k else \
+            [[Fraction(0)] * n for _ in range(m)]
+        expected = []
+        for fc in free:
+            v = [Fraction(int(c == fc)) for c in range(n)]
+            for i, pc in enumerate(pivots):
+                v[pc] = -r[i][fc]
+            expected.append(v)
+        assert la.exact_rank(mat) == k
+        assert la.kernel_basis(mat, la.RATIONAL_MODE) == expected
+
+
+def _jordan(blocks):
+    """Block-diagonal Jordan form of [(eigenvalue, size), ...]."""
+    n = sum(size for _, size in blocks)
+    j = [[Fraction(0)] * n for _ in range(n)]
+    at = 0
+    for lam, size in blocks:
+        for i in range(size):
+            j[at + i][at + i] = Fraction(lam)
+            if i + 1 < size:
+                j[at + i][at + i + 1] = Fraction(1)
+        at += size
+    return j
+
+
+def test_multiplicities_of_similar_jordan_forms():
+    rng = np.random.default_rng(103)
+    values = [0, 1, 2, -1, Fraction(1, 2), Fraction(-3, 4)]
+    for _ in range(240):
+        blocks = [(values[int(rng.integers(0, 4))], int(rng.integers(1, 4)))
+                  for _ in range(int(rng.integers(1, 4)))]
+        j = _jordan(blocks)
+        p, p_inv = _unimodular_pair(rng, len(j))
+        a = _matmul(_matmul(p, j), p_inv)
+        for lam in values:
+            sizes = [size for mu, size in blocks if mu == lam]
+            pair = la.multiplicities(a, lam, la.RATIONAL_MODE)
+            assert pair == (len(sizes), sum(sizes))
+            assert la.eigenvalue_degree(a, lam, la.RATIONAL_MODE) == \
+                max(sizes, default=0)
