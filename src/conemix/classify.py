@@ -30,7 +30,6 @@ import numpy as np
 from .cones import (
     Cone,
     Orthant,
-    Polyhedral,
     Psd,
     TensorCone,
     UnsupportedConeOperation,
@@ -315,9 +314,10 @@ def _stationary_float(a: DynMap, mode: ScalarMode) -> _Stationary:
                 if member(-v, mode):
                     v = -v
                 else:
+                    # report the primal vector, as the exact path does
                     raise NotErgodicError(
                         "no sign of the Perron eigenvector lies in the cone",
-                        x0=v)
+                        x0=vecs[0] if vecs else v)
         except UnsupportedConeOperation:
             pass
         vecs.append(v)
@@ -418,21 +418,6 @@ def mixing_routes(a: DynMap, mode: ScalarMode = FLOAT_MODE) -> dict:
     return routes
 
 
-def _finite_generator_pair(cone: Cone):
-    """(exact generators of K, exact dual generators) or None."""
-    inner = cone
-    if isinstance(cone, TensorCone):
-        inner = cone._inner()
-        if inner is None:
-            return None
-    if isinstance(inner, Orthant):
-        gens = inner.exact_extremal_generators()
-        return gens, gens
-    if isinstance(inner, Polyhedral):
-        return inner.exact_extremal_generators(), inner.exact_dual_generators()
-    return None
-
-
 def _classical_pattern(cone: Cone) -> bool:
     if isinstance(cone, Orthant):
         return True
@@ -528,9 +513,12 @@ def irreducible_routes(a: DynMap, mode: ScalarMode = FLOAT_MODE) -> dict:
     ergodic = _resolve(ergodic_routes(a, mode)).value
     routes = {}
     routes["interior-pair"] = _interior_pair_route(a, ergodic, mode)
-    pair = _finite_generator_pair(a.cone)
-    if pair is not None:
-        gens, dual_gens = pair
+    try:
+        gens = a.cone.exact_extremal_generators()
+        dual_gens = a.cone.exact_dual_generators()
+    except UnsupportedConeOperation:
+        pass
+    else:
         routes["binomial-power"] = _binomial_power_route(a, gens, mode)
         routes["reachability"] = _reachability_route(a, gens, dual_gens, mode)
     if _classical_pattern(a.cone):
@@ -555,7 +543,10 @@ def primitive_routes(a: DynMap, mode: ScalarMode = FLOAT_MODE) -> dict:
         exact = a.exact is not None
         routes["kron-digraph"] = Route(
             strongly_connected(tensor_product_digraph(g, g)), exact)
-        aperiodic = strongly_connected(g) and period(g) == 1
+        try:
+            aperiodic = period(g) == 1
+        except NotStronglyConnectedError:  # also: no cycles at all
+            aperiodic = False
         routes["aperiodic"] = Route(aperiodic, exact)
     return routes
 

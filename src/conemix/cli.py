@@ -131,9 +131,13 @@ def _parse_cone(spec, where="cone") -> Cone:
         key, cls = ("dim", Orthant) if kind == "orthant" else ("hdim", Psd)
         if key not in spec:
             raise SchemaError(f"{where}: {kind} requires \"{key}\"")
+        size = spec[key]
+        if not isinstance(size, int) or isinstance(size, bool):
+            raise SchemaError(f"{where}.{key}: expected an integer, got "
+                              f"{json.dumps(size)}")
         try:
-            return cls(int(spec[key]))
-        except (TypeError, ValueError) as err:
+            return cls(size)
+        except ValueError as err:
             raise SchemaError(f"{where}.{key}: {err}")
     if kind == "polyhedral":
         gens = spec.get("generators")

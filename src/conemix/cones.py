@@ -10,6 +10,7 @@ Four cone families are supported:
 * ``Polyhedral(generators)`` -- the conic hull of finitely many vectors.
   Construction enumerates the extreme rays of the dual cone exactly (over
   rationals), after which every membership query is a dot-product loop.
+  Its ``dual()`` reuses those rays: no second enumeration runs.
 * ``TensorCone(left, right)`` -- the minimal tensor-product cone, i.e. the
   conic hull of pairwise products.  Fully supported for orthant/polyhedral
   operands; for PSD operands only product vectors can be tested (general
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -95,7 +96,7 @@ def _dot_exact(a, b):
 
 
 class Cone:
-    """Base class; subclasses fill in the four membership predicates."""
+    """Base class; subclasses fill in membership, interior and ``dual()``."""
 
     dim: int
 
@@ -111,12 +112,25 @@ class Cone:
         raise NotImplementedError
 
     def dual_contains(self, y, mode: ScalarMode = FLOAT_MODE) -> bool:
-        raise NotImplementedError
+        return self.dual().contains(y, mode)
 
     def interior_dual_contains(self, y, mode: ScalarMode = FLOAT_MODE) -> bool:
-        raise NotImplementedError
+        return self.dual().interior_contains(y, mode)
 
     def extremal_generators(self) -> list:
+        raise NotImplementedError
+
+    def exact_extremal_generators(self) -> list:
+        """Extreme rays over Fractions; raises where no finite list exists."""
+        raise UnsupportedConeOperation(
+            f"{self!r} has no finite exact generator list")
+
+    def exact_dual_generators(self) -> list:
+        """Extreme rays of the dual cone over Fractions, likewise."""
+        return self.dual().exact_extremal_generators()
+
+    def dual(self) -> Cone:
+        """The dual cone, in the same (orthonormal) coordinates."""
         raise NotImplementedError
 
     def default_unit(self) -> np.ndarray:
@@ -163,12 +177,8 @@ class Orthant(Cone):
         xf = np.asarray(x, dtype=float)
         return bool(np.all(xf > mode.eps_interior * np.linalg.norm(xf)))
 
-    # self-dual
-    def dual_contains(self, y, mode=FLOAT_MODE):
-        return self.contains(y, mode)
-
-    def interior_dual_contains(self, y, mode=FLOAT_MODE):
-        return self.interior_contains(y, mode)
+    def dual(self):
+        return self  # self-dual
 
     def extremal_generators(self):
         return [np.eye(self.dim)[i] for i in range(self.dim)]
@@ -265,11 +275,8 @@ class Psd(Cone):
         lo, scale = self._min_eig(x)
         return lo > mode.eps_interior * scale
 
-    def dual_contains(self, y, mode=FLOAT_MODE):
-        return self.contains(y, mode)
-
-    def interior_dual_contains(self, y, mode=FLOAT_MODE):
-        return self.interior_contains(y, mode)
+    def dual(self):
+        return self  # self-dual
 
     def extremal_generators(self):
         raise UnsupportedConeOperation(
@@ -306,13 +313,17 @@ class Polyhedral(Cone):
         if exact_rank(gens) != d:
             raise ValueError("generators do not span the ambient space; "
                              "the cone would have empty interior")
-        self._gens = gens
-        self._dual_rays = self._enumerate_dual_rays(gens, d)
-        if exact_rank(self._dual_rays) != d:
-            raise ValueError("cone is not pointed: it contains a line")
-        self._gens_f = _unit_rows(gens)
-        self._dual_f = _unit_rows(self._dual_rays)
+        self._set_rays(gens, self._enumerate_dual_rays(gens, d))
         self._extremal = self._minimal_generators()
+
+    def _set_rays(self, gens, dual_rays):
+        """Keep the generators and dual rays with their unit-row float
+        copies; dual rays that do not span mean the cone holds a line."""
+        if exact_rank(dual_rays) != self.dim:
+            raise ValueError("cone is not pointed: it contains a line")
+        self._gens, self._dual_rays = gens, dual_rays
+        self._gens_f = _unit_rows(gens)
+        self._dual_f = _unit_rows(dual_rays)
 
     @staticmethod
     def _exact_gen(g):
@@ -405,6 +416,22 @@ class Polyhedral(Cone):
     def exact_dual_generators(self):
         return [list(y) for y in self._dual_rays]
 
+    def dual(self):
+        """The dual cone, from the rays held here: no enumeration runs.
+
+        Each dual ray is a facet normal, hence an extreme ray of the dual,
+        and the dual's own dual rays are this cone's extreme rays.
+        """
+        dual = object.__new__(Polyhedral)
+        dual.dim = self.dim
+        gens = self.exact_dual_generators()
+        if exact_rank(gens) != self.dim:
+            raise ValueError("dual rays do not span the ambient space")
+        dual._set_rays(gens, [[Fraction(v) for v in _primitive(g)]
+                              for g in self._extremal])
+        dual._extremal = gens
+        return dual
+
     def default_unit(self):
         # sum of dual extreme rays is strictly positive on every generator
         return np.sum(self.dual_generators(), axis=0)
@@ -414,14 +441,6 @@ def _unit_rows(rows):
     arr = np.array([[float(v) for v in r] for r in rows])
     norms = np.linalg.norm(arr, axis=1, keepdims=True)
     return arr / norms
-
-
-def _product_enumerable(cone: Cone) -> bool:
-    if isinstance(cone, (Orthant, Polyhedral)):
-        return True
-    if isinstance(cone, TensorCone):
-        return cone._poly is not None or isinstance(cone._delegate, Orthant)
-    return False
 
 
 class TensorCone(Cone):
@@ -440,12 +459,14 @@ class TensorCone(Cone):
         if isinstance(left, Orthant) and isinstance(right, Orthant):
             # products of standard basis vectors are the standard basis
             self._delegate = Orthant(self.dim)
-        elif _product_enumerable(left) and _product_enumerable(right):
-            gens = []
-            for g in _exact_gens_of(left):
-                for h in _exact_gens_of(right):
-                    gens.append([a * b for a in g for b in h])
-            self._poly = Polyhedral(gens)
+        else:
+            try:
+                pairs = product(left.exact_extremal_generators(),
+                                right.exact_extremal_generators())
+            except UnsupportedConeOperation:
+                return  # PSD operands: no finite generator list
+            self._poly = Polyhedral([[a * b for a in g for b in h]
+                                     for g, h in pairs])
 
     def __repr__(self):
         return f"TensorCone({self.left!r}, {self.right!r})"
@@ -530,20 +551,24 @@ class TensorCone(Cone):
                 gens.append(np.kron(g, h))
         return gens
 
+    def exact_extremal_generators(self):
+        if self._inner() is None:
+            return super().exact_extremal_generators()
+        return self._inner().exact_extremal_generators()
+
+    def exact_dual_generators(self):
+        if self._inner() is None:
+            return super().exact_dual_generators()
+        return self._inner().exact_dual_generators()
+
+    def dual(self):
+        if self._delegate is not None:
+            return self  # orthant (x) orthant is an orthant: self-dual
+        if self._poly is None:
+            raise UnsupportedConeOperation(
+                "the dual of a tensor cone with PSD operands has no finite "
+                "description")
+        return self._poly.dual()
+
     def default_unit(self):
         return np.kron(self.left.default_unit(), self.right.default_unit())
-
-
-def _exact_gens_of(cone: Cone):
-    if isinstance(cone, Orthant):
-        return cone.exact_extremal_generators()
-    if isinstance(cone, Polyhedral):
-        return cone.exact_extremal_generators()
-    if isinstance(cone, TensorCone):
-        inner = cone._inner()
-        if isinstance(inner, Orthant):
-            return inner.exact_extremal_generators()
-        if isinstance(inner, Polyhedral):
-            return inner.exact_extremal_generators()
-    raise UnsupportedConeOperation(
-        f"{cone!r} has no finite exact generator list")

@@ -19,7 +19,6 @@ from .cones import (
     Cone,
     InvalidUnitError,
     Orthant,
-    Polyhedral,
     Psd,
     TensorCone,
     UnsupportedConeOperation,
@@ -237,14 +236,16 @@ def u_norm(x, u, cone: Cone, mode: ScalarMode = FLOAT_MODE) -> float:
     """Max of |<y, x>| over the order interval -u <= y <= u in the dual.
 
     Closed forms: weighted l1 on the orthant, the trace norm
-    ||U^(1/2) X U^(1/2)||_1 on the PSD cone; polyhedral cones solve the
-    small LP directly.  Contracted by every cone-positive map that fixes
-    u under its adjoint.
+    ||U^(1/2) X U^(1/2)||_1 on the PSD cone; other cones solve a small LP
+    over their exact extreme rays.  Contracted by every cone-positive map
+    that fixes u under its adjoint.
     """
     if not cone.interior_dual_contains(u, mode):
         raise InvalidUnitError("unit element is not interior to the dual cone")
     xf = np.asarray(x, dtype=float)
     uf = np.asarray(u, dtype=float)
+    if isinstance(cone, TensorCone) and isinstance(cone._inner(), Orthant):
+        cone = cone._inner()
     if isinstance(cone, Orthant):
         return float(np.sum(uf * np.abs(xf)))
     if isinstance(cone, Psd):
@@ -253,26 +254,18 @@ def u_norm(x, u, cone: Cone, mode: ScalarMode = FLOAT_MODE) -> float:
         root = vecs @ np.diag(np.sqrt(w)) @ vecs.conj().T
         squeezed = root @ basis.mat(xf) @ root
         return float(np.sum(np.abs(np.linalg.eigvalsh(squeezed))))
-    if isinstance(cone, (Polyhedral, TensorCone)):
-        inner = cone._inner() if isinstance(cone, TensorCone) else cone
-        if isinstance(inner, Orthant):
-            return float(np.sum(uf * np.abs(xf)))
-        if not isinstance(inner, Polyhedral):
-            raise UnsupportedConeOperation(
-                "no u-norm for tensor cones with PSD operands")
-        # imported here: scipy.optimize costs most of the package import
-        from scipy.optimize import linprog
-        gens = np.array([[float(v) for v in g] for g in inner._gens])
-        bound = gens @ uf
-        # max <x, y> over G y <= G u and -G y <= G u; the feasible set is
-        # symmetric, so the absolute value resolves for free
-        res = linprog(c=-xf, A_ub=np.vstack([gens, -gens]),
-                      b_ub=np.concatenate([bound, bound]),
-                      bounds=[(None, None)] * len(xf), method="highs")
-        if not res.success:
-            raise RuntimeError(f"u-norm LP failed: {res.message}")
-        return float(-res.fun)
-    raise UnsupportedConeOperation(f"no u-norm for {cone!r}")
+    gens = np.array(cone.exact_extremal_generators(), dtype=float)
+    # imported here: scipy.optimize costs most of the package import
+    from scipy.optimize import linprog
+    bound = gens @ uf
+    # max <x, y> over G y <= G u and -G y <= G u; the feasible set is
+    # symmetric, so the absolute value resolves for free
+    res = linprog(c=-xf, A_ub=np.vstack([gens, -gens]),
+                  b_ub=np.concatenate([bound, bound]),
+                  bounds=[(None, None)] * len(xf), method="highs")
+    if not res.success:
+        raise RuntimeError(f"u-norm LP failed: {res.message}")
+    return float(-res.fun)
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +281,7 @@ def decoupling_distance(x, layout: BipartiteLayout) -> float:
 
 
 def decoupling_trace(a: DynMap, x, layout: BipartiteLayout, n_max: int,
-                     tol: float = 1e-10, window: int = 10,
-                     check_cone: bool = True) -> TrajectoryRecord:
+                     tol: float = 1e-10, window: int = 10) -> TrajectoryRecord:
     """Per-step decoupling distance of the normalized trajectory of x.
 
     The state is renormalized by its unit component at every step, so all
@@ -300,12 +292,11 @@ def decoupling_trace(a: DynMap, x, layout: BipartiteLayout, n_max: int,
     which signals that the kernel of the map meets the cone nontrivially.
     """
     xf = np.asarray(x, dtype=float)
-    if check_cone:
-        try:
-            if not a.cone.contains(xf):
-                raise ValueError("initial vector is not in the cone")
-        except UnsupportedConeOperation:
-            pass
+    try:
+        if not a.cone.contains(xf):
+            raise ValueError("initial vector is not in the cone")
+    except UnsupportedConeOperation:
+        pass
     u = layout.unit
     comp = float(u @ xf)
     if comp <= 1e-12 * max(1.0, float(np.linalg.norm(xf))):

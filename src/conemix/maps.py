@@ -215,33 +215,17 @@ def from_kraus(ops) -> DynMap:
 
 
 def adjoint(a: DynMap) -> DynMap:
-    """Adjoint map: the transpose, acting on the dual cone.
+    """Adjoint map: the transpose, acting on the dual cone ``a.cone.dual()``.
 
     Coordinates are orthonormal for the ambient inner product, so the
     adjoint is literally the transpose.  Self-dual cones keep their cone;
-    polyhedral cones are replaced by their dual (generated by the cached
-    dual rays).
+    tensor cones with PSD operands raise :class:`UnsupportedConeOperation`.
     """
-    cone = a.cone
-    if isinstance(cone, Polyhedral):
-        dual = Polyhedral(cone.exact_dual_generators())
-    elif isinstance(cone, TensorCone):
-        inner = cone._inner()
-        if isinstance(inner, Orthant):
-            dual = cone
-        elif isinstance(inner, Polyhedral):
-            dual = Polyhedral(inner.exact_dual_generators())
-        else:
-            raise UnsupportedConeOperation(
-                "the dual of a tensor cone with PSD operands has no finite "
-                "description")
-    else:
-        dual = cone  # orthant and PSD are self-dual
     exact_t = None
     if a.exact is not None:
         exact_t = [list(col) for col in zip(*a.exact)]
-    return DynMap(a.matrix.T.copy(), dual, a.unit.copy(), exact=exact_t,
-                  unit_exact=a.unit_exact, provenance="raw")
+    return DynMap(a.matrix.T.copy(), a.cone.dual(), a.unit.copy(),
+                  exact=exact_t, unit_exact=a.unit_exact, provenance="raw")
 
 
 def is_dup(a: DynMap, mode: ScalarMode = FLOAT_MODE) -> bool:

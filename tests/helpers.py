@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from conemix import Digraph, from_kraus, from_stochastic
+from conemix import Digraph, Polyhedral, TensorCone, from_kraus, \
+    from_stochastic
 
 
 def random_stochastic_exact(rng, d):
@@ -71,3 +72,28 @@ def random_density(rng, h):
     g = rng.standard_normal((h, h)) + 1j * rng.standard_normal((h, h))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
+
+
+def cyclic_polytope_generators(rng, d, m):
+    """Generators ``k * (1, t, ..., t^(d-1))`` at m distinct seeded integers
+    t in [-5, 5], with seeded scales k in 1..3: a cyclic-polytope cone."""
+    ts = sorted(int(t) for t in rng.choice(np.arange(-5, 6), size=m,
+                                           replace=False))
+    scales = [int(k) for k in rng.integers(1, 4, size=m)]
+    return [[k * t ** i for i in range(d)] for k, t in zip(scales, ts)]
+
+
+def seeded_polyhedral_cones(rng):
+    """Cyclic-polytope cones for d = 4..6, the square cone, a triangle and
+    triangle (x) square, keyed by name."""
+    square = [[1, 1, 1], [1, -1, 1], [1, -1, -1], [1, 1, -1]]
+    triangle = [[k * v for v in g] for k, g in zip(
+        (int(k) for k in rng.integers(1, 4, size=3)),
+        ([1, 0, 0], [1, 1, 0], [1, 0, 1]))]
+    cones = {f"cyclic-{d}": Polyhedral(cyclic_polytope_generators(rng, d, m))
+             for d, m in ((4, 8), (5, 7), (6, 7))}
+    cones["square"] = Polyhedral(square)
+    cones["triangle"] = Polyhedral(triangle)
+    cones["triangle(x)square"] = TensorCone(Polyhedral(triangle),
+                                            Polyhedral(square))
+    return cones

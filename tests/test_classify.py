@@ -79,6 +79,15 @@ def test_stationary_pair_swap_uniform():
     np.testing.assert_allclose(y0, [1.0, 1.0])
 
 
+def test_float_and_exact_twins_report_the_same_stationary():
+    # the dual Perron vector (1, -1) leaves the cone; both report x0
+    m = [[1, Fraction(-1, 2)], [0, Fraction(1, 2)]]
+    exact = classify(from_matrix(m, Orthant(2)))
+    floats = classify(from_matrix(np.array(m, dtype=float), Orthant(2)))
+    np.testing.assert_allclose(exact.stationary, [1.0, 0.0])
+    np.testing.assert_allclose(floats.stationary, exact.stationary, atol=1e-12)
+
+
 def test_stationary_pair_identity_multiplicity():
     with pytest.raises(NotErgodicError) as info:
         stationary_pair(from_stochastic([[1, 0], [0, 1]]))

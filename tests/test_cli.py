@@ -315,8 +315,15 @@ IDENTITY_CHAIN = {"map": {"type": "stochastic", "data": [[1, 0], [0, 1]]}}
     (dict(IDENTITY_CHAIN, tolerances={"eps_rank": "abc"}), "classify"),
     (dict(IDENTITY_CHAIN, tolerances={"eps_rank": -1}), "classify"),
     (NILPOTENT, "simulate"),
+    ({"cone": {"type": "orthant", "dim": 2.7},
+      "map": {"type": "matrix", "data": [[1, 0], [0, 1]]}}, "classify"),
+    ({"cone": {"type": "orthant", "dim": True},
+      "map": {"type": "matrix", "data": [[1]]}}, "classify"),
+    ({"cone": {"type": "psd", "hdim": 1.5},
+      "map": {"type": "matrix", "data": [[1]]}}, "classify"),
 ], ids=["orthant-dim-x", "psd-hdim-0", "tolerance-abc", "tolerance-negative",
-        "simulate-nilpotent"])
+        "simulate-nilpotent", "orthant-dim-2.7", "orthant-dim-true",
+        "psd-hdim-1.5"])
 def test_malformed_input_exits_2(tmp_path, capsys, doc, command):
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(doc))
@@ -334,7 +341,19 @@ def test_import_leaves_scipy_optimize_unloaded():
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
     probe = ("import sys, conemix.cli; "
-             "print('scipy.optimize' in sys.modules)")
+             "print('scipy.optimize' in sys.modules, "
+             "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "False []"
+
+
+def test_one_by_one_negative_map_reports_not_primitive(tmp_path, capsys):
+    # its digraph has no cycles, so the period is undefined
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps({"cone": {"type": "orthant", "dim": 1},
+                                "map": {"type": "matrix", "data": [[-1]]}}))
+    code, out, err = run_cli(capsys, "classify", str(path))
+    assert code == 3
+    assert "Traceback" not in err
+    assert json.loads(out)["primitive"] is False

@@ -15,6 +15,8 @@ from conemix import (
     UnsupportedConeOperation,
     validate_unit,
 )
+from conemix.cones import _primitive
+from helpers import seeded_polyhedral_cones
 
 
 def test_orthant_membership():
@@ -221,3 +223,41 @@ def test_dual_ray_enumeration_nontrivial():
         dots = [sum(a * b for a, b in zip(y, g)) for g in cone._gens]
         assert all(v >= 0 for v in dots)
         assert sum(1 for v in dots if v == 0) == 2  # each facet holds 2 rays
+
+
+def _rays(rows):
+    return {tuple(int(v) for v in _primitive(row)) for row in rows}
+
+
+def test_dual_matches_brute_force_enumeration():
+    for name, cone in seeded_polyhedral_cones(np.random.default_rng(6)).items():
+        # the reference: enumerate the dual rays of K* from scratch
+        brute = Polyhedral(cone.exact_dual_generators())
+        dual = cone.dual()
+        assert dual.dim == cone.dim, name
+        assert dual.exact_extremal_generators() == \
+            brute.exact_extremal_generators(), name
+        assert _rays(dual.exact_dual_generators()) == \
+            _rays(brute.exact_dual_generators()), name
+        assert len(dual.exact_dual_generators()) == \
+            len(brute.exact_dual_generators()), name
+        double = dual.dual()
+        assert [list(map(int, g)) for g in double.exact_extremal_generators()] \
+            == [_primitive(g) for g in cone.exact_extremal_generators()], name
+        assert double.exact_dual_generators() == cone.exact_dual_generators(), \
+            name
+
+
+def test_self_dual_cones_return_themselves():
+    for cone in (Orthant(3), Psd(2), TensorCone(Orthant(2), Orthant(3))):
+        assert cone.dual() is cone
+
+
+def test_psd_operands_have_no_finite_generators():
+    for cone in (Psd(2), TensorCone(Psd(2), Orthant(2))):
+        with pytest.raises(UnsupportedConeOperation):
+            cone.exact_extremal_generators()
+        with pytest.raises(UnsupportedConeOperation):
+            cone.exact_dual_generators()
+    with pytest.raises(UnsupportedConeOperation):
+        TensorCone(Psd(2), Orthant(2)).dual()

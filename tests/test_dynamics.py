@@ -307,7 +307,7 @@ def test_decoupling_normalization_vanishes():
     a = from_matrix(m, TensorCone(Orthant(2), Orthant(2)))
     x = np.array([0.0, 0.0, 0.0, 1.0])
     with pytest.raises(NormalizationVanishedError):
-        decoupling_trace(a, x, orthant_layout(), 10, check_cone=True)
+        decoupling_trace(a, x, orthant_layout(), 10)
 
 
 def test_decoupling_rejects_outside_vector():

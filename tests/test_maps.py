@@ -4,14 +4,18 @@ import numpy as np
 import pytest
 
 from conemix import (
+    FLOAT_MODE,
+    RATIONAL_MODE,
     ColumnSumViolationError,
     DimensionMismatchError,
+    DynMap,
     NegativeEntryError,
     Orthant,
     Polyhedral,
     Psd,
     adjoint,
     choi_matrix,
+    classify,
     from_kraus,
     from_matrix,
     from_stochastic,
@@ -19,7 +23,9 @@ from conemix import (
     is_positive,
     spectral_radius,
 )
-from helpers import random_hermitian, random_kraus_channel, random_stochastic_map
+from conemix.cli import report_to_dict
+from helpers import random_hermitian, random_kraus_channel, \
+    random_stochastic_map, seeded_polyhedral_cones
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]])
@@ -193,3 +199,43 @@ def test_stochastic_maps_preserve_total_probability():
 def test_from_matrix_rejects_nonsquare():
     with pytest.raises(DimensionMismatchError):
         from_matrix([[1, 2, 3], [4, 5, 6]], Orthant(2))
+
+
+def _transpose_on(a, cone):
+    exact_t = None if a.exact is None else [list(c) for c in zip(*a.exact)]
+    return DynMap(a.matrix.T.copy(), cone, a.unit.copy(), exact=exact_t,
+                  unit_exact=a.unit_exact)
+
+
+def _generator_map(rng, gens, duals):
+    """I + sum w_ij g_i h_j^T with seeded w_ij in {0, 1, 2}: cone-positive."""
+    d = len(gens[0])
+    m = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
+    for g in gens:
+        for h in duals:
+            w = int(rng.integers(0, 3))
+            for i in range(d):
+                for j in range(d):
+                    m[i][j] += w * g[i] * h[j]
+    return m
+
+
+def test_adjoint_reports_match_brute_force_dual():
+    rng = np.random.default_rng(7)
+    for name, cone in seeded_polyhedral_cones(rng).items():
+        # the reference: K* and K** with their dual rays enumerated anew
+        dual = Polyhedral(cone.exact_dual_generators())
+        double = Polyhedral(dual.exact_dual_generators())
+        positive = _generator_map(rng, cone.exact_extremal_generators(),
+                                  cone.exact_dual_generators())
+        mixed = rng.integers(-3, 4, size=(cone.dim, cone.dim)).tolist()
+        for m in (positive, mixed):
+            for a, mode in ((from_matrix(m, cone), RATIONAL_MODE),
+                            (from_matrix(np.array(m, dtype=float), cone),
+                             FLOAT_MODE)):
+                pairs = ((adjoint(a), _transpose_on(a, dual)),
+                         (adjoint(adjoint(a)),
+                          _transpose_on(_transpose_on(a, dual), double)))
+                for ours, reference in pairs:
+                    assert report_to_dict(classify(ours, mode), mode) == \
+                        report_to_dict(classify(reference, mode), mode), name
