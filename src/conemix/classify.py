@@ -7,13 +7,14 @@ Each verdict has at least two independent routes that are cross-checked:
   radius is rational), the fixed-space dimension (exact, for maps whose
   adjoint fixes the unit), and float eigenvalue clustering;
 * mixing -- kernel of ``A (x) A - r^2 I`` (exact), geometric multiplicity
-  of ``r^2`` on the Kronecker square (float), and the spectral-gap
-  condition computed from the full eigenvalue list;
+  of ``r^2`` on the Kronecker square (float, counted from the products of
+  A's eigenvalues), and the spectral-gap condition computed from the full
+  eigenvalue list;
 * irreducible -- interior stationary pair (the definition), interior of
   ``(I + A)^(d-1) g`` for every extremal generator, pairwise support
   reachability, and strong connectivity of the transition digraph;
-* primitive -- interior pair on top of mixing, strong connectivity of the
-  Kronecker-square digraph, and aperiodicity.
+* primitive -- interior pair on top of mixing, Wielandt's boolean-power
+  test on the map's pattern, and aperiodicity.
 
 Exact routes are authoritative when the map carries rational data.
 Disagreements between routes are never silently resolved; they are
@@ -107,21 +108,23 @@ class Digraph:
         return [(u, v) for u in range(self.n) for v in self.succ[u]]
 
 
-def digraph_of(m, mode: ScalarMode = FLOAT_MODE) -> Digraph:
-    """Digraph of a map: edge i -> j present iff entry (j, i) is positive."""
+def _pattern(m, mode: ScalarMode) -> np.ndarray:
+    """0/1 int64 matrix of the positive entries of a map: exact entries
+    above 0, float ones above ``eps_interior`` times the largest modulus."""
     if isinstance(m, DynMap):
         m = m.exact if m.exact is not None else m.matrix
     if isinstance(m, list):
-        n = len(m)
-        succ = tuple(tuple(j for j in range(n) if m[j][i] > 0)
-                     for i in range(n))
-        return Digraph(n, succ)
+        return np.array([[x > 0 for x in row] for row in m], dtype=np.int64)
     mf = np.asarray(m, dtype=float)
-    n = mf.shape[0]
     thresh = mode.eps_interior * max(1.0, float(np.max(np.abs(mf))))
-    succ = tuple(tuple(int(j) for j in np.nonzero(mf[:, i] > thresh)[0])
-                 for i in range(n))
-    return Digraph(n, succ)
+    return (mf > thresh).astype(np.int64)
+
+
+def digraph_of(m, mode: ScalarMode = FLOAT_MODE) -> Digraph:
+    """Digraph of a map: edge i -> j present iff entry (j, i) is positive."""
+    pattern = _pattern(m, mode)
+    return Digraph(len(pattern), tuple(
+        tuple(int(j) for j in np.nonzero(col)[0]) for col in pattern.T))
 
 
 def strongly_connected_components(g: Digraph):
@@ -204,6 +207,16 @@ def period(g: Digraph) -> int:
     if p == 0:
         raise NotStronglyConnectedError("graph has no cycles")
     return p
+
+
+def _wielandt_primitive(pattern: np.ndarray) -> bool:
+    """Is some power of the pattern positive?  By Wielandt (1950) the
+    ``((d-1)^2 + 1)``-th is when any is, and every later one stays so; the
+    squarings reach an exponent at least that large."""
+    power = pattern
+    for _ in range(math.ceil(math.log2((len(pattern) - 1) ** 2 + 1))):
+        power = np.minimum(power @ power, 1)
+    return bool(power.all())
 
 
 def tensor_product_digraph(g: Digraph, h: Digraph) -> Digraph:
@@ -301,10 +314,10 @@ def _stationary_exact(a: DynMap, r_exact) -> _Stationary:
 
 def _stationary_float(a: DynMap, mode: ScalarMode) -> _Stationary:
     geom = a.spectrum.peak_pair(mode).geometric
-    if geom != 1:
+    if geom != 1:  # 0 exactly when r is not an eigenvalue at all
         raise NotErgodicError(
-            f"spectral radius has geometric multiplicity {geom}",
-            geometric=geom)
+            f"spectral radius has geometric multiplicity {geom}" if geom
+            else "spectral radius is not an eigenvalue", geometric=geom)
     cone = a.cone
     vecs = []
     for v, member in zip(a.spectrum.perron_vectors,
@@ -531,9 +544,10 @@ def primitive_routes(a: DynMap, mode: ScalarMode = FLOAT_MODE) -> dict:
     """Every applicable primitivity criterion, evaluated independently.
 
     Keys: ``interior-pair`` (the definition: mixing with interior
-    stationary pair), and for classical maps ``kron-digraph`` (strong
-    connectivity of the Kronecker-square digraph) and ``aperiodic``
-    (irreducible with period one).
+    stationary pair), and for classical maps ``kron-digraph`` (Wielandt's
+    power test, which for d >= 2 is strong connectivity of the
+    Kronecker-square digraph) and ``aperiodic`` (irreducible with period
+    one).
     """
     mixing = _resolve(mixing_routes(a, mode)).value
     routes = {}
@@ -542,7 +556,7 @@ def primitive_routes(a: DynMap, mode: ScalarMode = FLOAT_MODE) -> dict:
         g = digraph_of(a, mode)
         exact = a.exact is not None
         routes["kron-digraph"] = Route(
-            strongly_connected(tensor_product_digraph(g, g)), exact)
+            _wielandt_primitive(_pattern(a, mode)), exact)
         try:
             aperiodic = period(g) == 1
         except NotStronglyConnectedError:  # also: no cycles at all
@@ -612,8 +626,7 @@ def power_interior_probe(a: DynMap, mode: ScalarMode = FLOAT_MODE,
     if isinstance(cone, Orthant):
         d = a.dim
         cap = (d - 1) ** 2 + 1
-        thresh = mode.eps_interior * max(1.0, float(np.max(np.abs(a.matrix))))
-        pattern = (a.matrix > thresh).astype(np.int64)
+        pattern = _pattern(a, mode)
         power = np.eye(d, dtype=np.int64)
         for n in range(1, cap + 1):
             power = np.minimum(pattern @ power, 1)

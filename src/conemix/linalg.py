@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -307,16 +307,18 @@ def _count_null(sv: np.ndarray, mode: ScalarMode, scale: float = 0.0) -> int:
     return int(np.count_nonzero(sv <= mode.eps_rank * max(sv[0], scale)))
 
 
-def _float_pair(offsets: np.ndarray, shift_sv: np.ndarray, scale: float,
-                mode: ScalarMode) -> MultiplicityPair:
+def _float_pair(offsets: np.ndarray, shift_sv: Callable[[], np.ndarray],
+                scale: float, mode: ScalarMode) -> MultiplicityPair:
     """Float multiplicities of ``lam`` from the eigenvalues minus ``lam``
     (algebraic: those within ``eps_cluster``) and the singular values of
     ``m - lam I`` (geometric: the small ones, clamped to ``[1, algebraic]``).
+    ``shift_sv()`` gives those singular values; it is called only when the
+    algebraic count is 2 or more, since the clamp fixes a count of 0 or 1.
     """
     algebraic = int(np.count_nonzero(np.abs(offsets) <= mode.eps_cluster))
-    if algebraic == 0:
-        return MultiplicityPair(0, 0)
-    geometric = _count_null(shift_sv, mode, scale)
+    if algebraic <= 1:
+        return MultiplicityPair(algebraic, algebraic)
+    geometric = _count_null(shift_sv(), mode, scale)
     return MultiplicityPair(max(1, min(geometric, algebraic)), algebraic)
 
 
@@ -367,10 +369,11 @@ def multiplicities(m, lam, mode: ScalarMode = FLOAT_MODE) -> MultiplicityPair:
         return chain_pair(_kernel_chain(m, lam))
     a = as_float(m)
     lam = complex(lam)
-    shift_sv = np.linalg.svd(a.astype(complex) - lam * np.eye(len(a)),
-                             compute_uv=False)
-    return _float_pair(np.linalg.eigvals(a) - lam, shift_sv,
-                       float(np.linalg.norm(a, 2)) + abs(lam), mode)
+    return _float_pair(
+        np.linalg.eigvals(a) - lam,
+        lambda: np.linalg.svd(a.astype(complex) - lam * np.eye(len(a)),
+                              compute_uv=False),
+        float(np.linalg.norm(a, 2)) + abs(lam), mode)
 
 
 def eigenvalue_degree(m, lam, mode: ScalarMode = FLOAT_MODE) -> int:
@@ -403,8 +406,10 @@ class Spectrum:
 
     No fact depends on a :class:`ScalarMode`: readers compare these numbers
     against their own tolerances.  The ``kron`` facts belong to the
-    normalized Kronecker square ``A (x) A / r^2``, of which only the
-    spectra are kept.  The chains are exact kernel chains (see
+    normalized Kronecker square ``A (x) A / r^2``.  Its eigenvalues are the
+    products of A's, so only the singular values of ``A (x) A / r^2 - I``
+    need the d^2 x d^2 square, and they are computed only when r^2 is a
+    repeated eigenvalue of it.  The chains are exact kernel chains (see
     ``_kernel_chain``) and are empty without a verified rational radius.
     """
 
@@ -431,24 +436,25 @@ class Spectrum:
                              compute_uv=False)
 
     @cached_property
-    def _kron_spectra(self) -> tuple:
-        """Eigenvalues of the normalized Kronecker square, and singular
-        values of it minus the identity."""
+    def _kron_shift_sv(self) -> np.ndarray:
+        """Singular values of the normalized Kronecker square minus I."""
         big = np.kron(self.matrix, self.matrix) / (self.r * self.r)
-        ev = np.linalg.eigvals(big)
         big[np.diag_indices_from(big)] -= 1.0
-        return ev, np.linalg.svd(big, compute_uv=False)
+        return np.linalg.svd(big, compute_uv=False)
 
     def peak_pair(self, mode: ScalarMode) -> MultiplicityPair:
         """Float multiplicities of r at mode's tolerances."""
-        return _float_pair(self.eigenvalues / self.r - 1.0, self._shift_sv,
-                           self.norm2 / self.r + 1.0, mode)
+        return _float_pair(self.eigenvalues / self.r - 1.0,
+                           lambda: self._shift_sv, self.norm2 / self.r + 1.0,
+                           mode)
 
     def kron_peak_pair(self, mode: ScalarMode) -> MultiplicityPair:
-        """Float multiplicities of r^2 on the Kronecker square."""
-        ev, shift_sv = self._kron_spectra
-        return _float_pair(ev - 1.0, shift_sv, (self.norm2 / self.r) ** 2 + 1.0,
-                           mode)
+        """Float multiplicities of r^2 on the Kronecker square; its
+        eigenvalues are the d^2 products of A's."""
+        ev = self.eigenvalues / self.r
+        return _float_pair(np.multiply.outer(ev, ev) - 1.0,
+                           lambda: self._kron_shift_sv,
+                           (self.norm2 / self.r) ** 2 + 1.0, mode)
 
     @cached_property
     def perron_vectors(self) -> tuple:

@@ -1,11 +1,12 @@
-"""Shared random generators for the test corpora (all explicitly seeded)."""
+"""Shared random generators for the test corpora (all explicitly seeded),
+and reference implementations that the fast routes are checked against."""
 
 from fractions import Fraction
 
 import numpy as np
 
-from conemix import Digraph, Polyhedral, TensorCone, from_kraus, \
-    from_stochastic
+from conemix import Digraph, MultiplicityPair, Polyhedral, TensorCone, \
+    from_kraus, from_stochastic, strongly_connected, tensor_product_digraph
 
 
 def random_stochastic_exact(rng, d):
@@ -97,3 +98,71 @@ def seeded_polyhedral_cones(rng):
     cones["triangle(x)square"] = TensorCone(Polyhedral(triangle),
                                             Polyhedral(square))
     return cones
+
+
+CHAIN_KINDS = ("random", "periodic", "transient", "transient-periodic",
+               "multi")
+
+
+def random_chain(rng, d, kind):
+    """Float column-stochastic matrix whose digraph has the given kind.
+
+    ``random``: random supports; ``periodic``: a Hamiltonian cycle plus
+    edges between consecutive cyclic classes, period the least divisor
+    p >= 2 of d; ``transient``: one closed class with a self-loop plus
+    transient states leading into it; ``transient-periodic``: the same with
+    the closed class a bare cycle; ``multi``: two closed classes plus
+    transient states.  ``adj[j, i]`` marks the edge i -> j.
+    """
+    perm = rng.permutation(d)
+    adj = np.zeros((d, d), dtype=bool)
+    if kind == "random":
+        adj = rng.random((d, d)) < 0.5
+        adj[perm, np.arange(d)] = True
+    elif kind == "periodic":
+        p = min(q for q in range(2, d + 1) if d % q == 0)
+        cls = np.empty(d, dtype=int)
+        cls[perm] = np.arange(d) % p
+        adj = (cls[:, None] == (cls[None, :] + 1) % p) \
+            & (rng.random((d, d)) < 0.5)
+        adj[np.roll(perm, -1), perm] = True
+    else:
+        sizes = [max(1, d // 3)] * 2 if kind == "multi" else [max(2, d // 2)]
+        start = 0
+        for size in sizes:
+            members = perm[start:start + size]
+            start += size
+            adj[np.roll(members, -1), members] = True
+            if kind != "transient-periodic":
+                adj[np.ix_(members, members)] |= rng.random((size, size)) < 0.4
+                adj[members[0], members[0]] = True
+        for k in range(start, d):
+            adj[perm[rng.integers(k)], perm[k]] = True
+            adj[perm[start:], perm[k]] |= rng.random(d - start) < 0.3
+    m = adj * rng.uniform(0.1, 1.0, size=(d, d))
+    return m / m.sum(axis=0)
+
+
+def reference_kron_peak_pair(matrix, mode):
+    """Float multiplicities of r^2 on ``A (x) A``, from the eigenvalues and
+    singular values of the full d^2 x d^2 square."""
+    r = float(np.max(np.abs(np.linalg.eigvals(matrix))))
+    big = np.kron(matrix, matrix) / (r * r)
+    ev = np.linalg.eigvals(big)
+    big[np.diag_indices_from(big)] -= 1.0
+    sv = np.linalg.svd(big, compute_uv=False)
+    algebraic = int(np.count_nonzero(np.abs(ev - 1.0) <= mode.eps_cluster))
+    if algebraic == 0:
+        return MultiplicityPair(0, 0)
+    scale = (float(np.linalg.norm(matrix, 2)) / r) ** 2 + 1.0
+    geometric = int(np.count_nonzero(sv <= mode.eps_rank * max(sv[0], scale)))
+    return MultiplicityPair(max(1, min(geometric, algebraic)), algebraic)
+
+
+def reference_kron_digraph_connected(pattern):
+    """Strong connectivity of g (x) g, for g the digraph of a 0/1 pattern
+    (edge i -> j iff ``pattern[j, i]``), by Tarjan on the product."""
+    d = len(pattern)
+    g = Digraph(d, tuple(tuple(int(j) for j in np.nonzero(pattern[:, i])[0])
+                         for i in range(d)))
+    return strongly_connected(tensor_product_digraph(g, g))

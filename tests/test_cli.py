@@ -9,6 +9,8 @@ import pytest
 
 from conemix.cli import load_problem, main, problem_to_dict, report_to_dict
 from conemix.classify import classify
+from conemix.linalg import FLOAT_MODE
+from helpers import random_dense_stochastic, random_kraus_channel
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -357,3 +359,43 @@ def test_one_by_one_negative_map_reports_not_primitive(tmp_path, capsys):
     assert code == 3
     assert "Traceback" not in err
     assert json.loads(out)["primitive"] is False
+
+
+def test_classify_loads_no_scipy(tmp_path):
+    # classify of a float chain and of a Kraus channel, run through the
+    # CLI entry point, must not pull in scipy (it costs more to import
+    # than a whole classify of either)
+    rng = np.random.default_rng(75)
+    paths = []
+    for name, dyn in (("chain", random_dense_stochastic(rng, 6)),
+                      ("channel", random_kraus_channel(rng, 2, 3))):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(problem_to_dict(dyn, FLOAT_MODE)))
+        paths.append(str(path))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    probe = ("import contextlib, io, sys; from conemix.cli import main\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             f"    codes = [main(['classify', p]) for p in {paths!r}]\n"
+             "print(codes, sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[0, 0] []"
+
+
+def test_one_by_one_negative_map_flags(tmp_path, capsys):
+    # r = 1 is not an eigenvalue of [[-1]], and no power of its pattern
+    # [[0]] is positive, so the kron-digraph route agrees with aperiodic
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps({"cone": {"type": "orthant", "dim": 1},
+                                "map": {"type": "matrix", "data": [[-1]]}}))
+    for extra in ((), ("--mode", "float")):
+        code, out, _ = run_cli(capsys, "classify", str(path), *extra)
+        assert code == 3
+        flags = json.loads(out)["hypothesis_flags"]
+        assert "no-stationary-pair: spectral radius is not an eigenvalue" \
+            in flags
+        assert not any(f.startswith("route-disagreement:primitive")
+                       for f in flags)
