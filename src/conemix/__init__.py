@@ -56,13 +56,6 @@ from .linalg import (
     MultiplicityPair,
     ScalarMode,
     ZeroSpectralRadiusError,
-    eigenvalue_degree,
-    kernel_basis,
-    kernel_dim,
-    kron,
-    mat_power,
-    multiplicities,
-    spectral_radius,
 )
 from .maps import (
     ColumnSumViolationError,

@@ -72,10 +72,6 @@ __all__ = [
     "classify",
 ]
 
-#: relative floor below which a float spectral radius counts as zero
-RADIUS_FLOOR = 1e-9
-
-
 class NotErgodicError(Exception):
     """No stationary pair exists; carries the multiplicity diagnostics."""
 
@@ -242,24 +238,6 @@ def tensor_scc_count(g: Digraph) -> int:
 
 
 # ---------------------------------------------------------------------------
-# spectral radius with exact snapping
-# ---------------------------------------------------------------------------
-
-def _positive_radius(a: DynMap):
-    """(float radius, exact radius or None); raises on a zero radius."""
-    spec = a.spectrum
-    r = spec.r
-    scale = max(1.0, spec.norm2)
-    if a.exact is not None:
-        if r <= 1e-3 * scale and spec.nilpotent:
-            raise ZeroSpectralRadiusError("the map is nilpotent")
-    elif r <= RADIUS_FLOOR * scale:
-        raise ZeroSpectralRadiusError(
-            f"spectral radius {r} is numerically zero")
-    return r, spec.r_exact
-
-
-# ---------------------------------------------------------------------------
 # stationary pair
 # ---------------------------------------------------------------------------
 
@@ -344,9 +322,10 @@ def _stationary_float(a: DynMap, mode: ScalarMode) -> _Stationary:
 
 
 def _stationary(a: DynMap, mode: ScalarMode) -> _Stationary:
-    r, r_exact = _positive_radius(a)
-    if r_exact is not None:
-        return _stationary_exact(a, r_exact)
+    spec = a.spectrum
+    spec.positive_r()
+    if spec.r_exact is not None:
+        return _stationary_exact(a, spec.r_exact)
     return _stationary_float(a, mode)
 
 
@@ -396,10 +375,10 @@ def ergodic_routes(a: DynMap, mode: ScalarMode = FLOAT_MODE) -> dict:
     only for maps whose adjoint fixes the unit), ``eigenvalue-cluster``
     (float).
     """
-    r, r_exact = _positive_radius(a)
     spec = a.spectrum
+    spec.positive_r()
     routes = {}
-    if r_exact is not None:
+    if spec.r_exact is not None:
         pair = chain_pair(spec.chain_r)
         routes["algebraic-multiplicity"] = Route(pair.algebraic == 1, True)
         if is_dup(a):
@@ -414,20 +393,23 @@ def mixing_routes(a: DynMap, mode: ScalarMode = FLOAT_MODE) -> dict:
 
     Keys: ``kron-fixed-space-dim`` (exact kernel of the Kronecker square
     minus r^2), ``kron-geometric`` (float), ``spectral-gap`` (float oracle
-    from the full eigenvalue list).
+    from the full eigenvalue list).  Like the exact route, which needs r
+    verified as an eigenvalue, both float routes require r itself among
+    the eigenvalues, not only an eigenvalue of modulus r.
     """
-    r, r_exact = _positive_radius(a)
     spec = a.spectrum
+    r = spec.positive_r()
     routes = {}
-    if r_exact is not None:
+    if spec.r_exact is not None:
         routes["kron-fixed-space-dim"] = Route(
             chain_pair(spec.chain_r2_kron).geometric == 1, True)
     routes["kron-geometric"] = _margin_probe(
-        lambda m: spec.kron_peak_pair(m).geometric == 1, mode)
+        lambda m: spec.peak_pair(m).algebraic >= 1
+        and spec.kron_peak_pair(m).geometric == 1, mode)
     moduli = np.abs(spec.eigenvalues) / r
     routes["spectral-gap"] = _margin_probe(
-        lambda m: int(np.count_nonzero(moduli >= 1.0 - m.eps_cluster)) == 1,
-        mode)
+        lambda m: spec.peak_pair(m).algebraic == 1
+        and int(np.count_nonzero(moduli >= 1.0 - m.eps_cluster)) == 1, mode)
     return routes
 
 
@@ -612,8 +594,12 @@ def is_primitive(a: DynMap, mode: ScalarMode = FLOAT_MODE) -> bool:
 # power-interior probe (diagnostic)
 # ---------------------------------------------------------------------------
 
-def power_interior_probe(a: DynMap, mode: ScalarMode = FLOAT_MODE,
-                         samples: int = 32, seed: int = 5):
+#: random pure states the probe iterates on the PSD cone, and their seed
+_PROBE_SAMPLES = 32
+_PROBE_SEED = 5
+
+
+def power_interior_probe(a: DynMap, mode: ScalarMode = FLOAT_MODE):
     """Iterate the map on boundary states until the image is interior.
 
     Returns (reached, n).  ``reached`` is False when a probe state is still
@@ -637,10 +623,10 @@ def power_interior_probe(a: DynMap, mode: ScalarMode = FLOAT_MODE,
         h = cone.h
         n_kraus = a.kraus_rank if a.kraus_rank is not None else 1
         cap = (h * h) * (h * h - n_kraus + 1)
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(_PROBE_SEED)
         basis = cone.basis
         worst = 0
-        for _ in range(samples):
+        for _ in range(_PROBE_SAMPLES):
             psi = rng.standard_normal(h) + 1j * rng.standard_normal(h)
             psi /= np.linalg.norm(psi)
             x = basis.vec(np.outer(psi, psi.conj()))
@@ -709,8 +695,9 @@ def classify(a: DynMap, mode: ScalarMode = FLOAT_MODE) -> ClassificationReport:
     if not dup:
         flags.append("non-dup")
 
+    spec = a.spectrum
     try:
-        r, r_exact = _positive_radius(a)
+        r = spec.positive_r()
     except ZeroSpectralRadiusError as err:
         flags.append(f"zero-spectral-radius: {err}")
         return ClassificationReport(
@@ -722,8 +709,7 @@ def classify(a: DynMap, mode: ScalarMode = FLOAT_MODE) -> ClassificationReport:
     if a.exact is not None:
         flags.append("spectral-radius-computed-in-float")
 
-    spec = a.spectrum
-    if r_exact is not None:
+    if spec.r_exact is not None:
         mult_r, mult_r2 = map(chain_pair, (spec.chain_r, spec.chain_r2_kron))
     else:
         mult_r, mult_r2 = spec.peak_pair(mode), spec.kron_peak_pair(mode)

@@ -31,6 +31,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -184,7 +185,8 @@ def _tolerance(value, where) -> float:
 
 
 def _parse_tolerances(doc):
-    eps = {"eps_rank": 1e-9, "eps_cluster": 1e-7, "eps_interior": 1e-10}
+    eps = {f.name: f.default for f in fields(ScalarMode)
+           if f.name.startswith("eps_")}
     env = os.environ.get("CONEMIX_TOL")
     if env:
         eps = dict.fromkeys(eps, _tolerance(env, "CONEMIX_TOL"))

@@ -23,7 +23,7 @@ from .cones import (
     TensorCone,
     UnsupportedConeOperation,
 )
-from .linalg import FLOAT_MODE, ScalarMode, ZeroSpectralRadiusError
+from .linalg import FLOAT_MODE, ScalarMode
 from .maps import DynMap
 
 __all__ = [
@@ -40,6 +40,8 @@ __all__ = [
 ]
 
 DIVERGENCE_CEILING = 1e12
+#: steps of the sliding window behind every trajectory verdict
+WINDOW = 10
 
 
 class NormalizationVanishedError(RuntimeError):
@@ -85,10 +87,8 @@ class TrajectoryRecord:
 class _WindowJudge:
     """Sliding-window convergence/divergence detector."""
 
-    def __init__(self, tol, window, ceiling=DIVERGENCE_CEILING):
+    def __init__(self, tol):
         self.tol = tol
-        self.window = window
-        self.ceiling = ceiling
         self.diffs = []
         self.norms = []
         self.small = 0
@@ -97,41 +97,33 @@ class _WindowJudge:
         """Returns a Verdict or None to continue."""
         self.diffs.append(diff)
         self.norms.append(norm)
-        if norm > self.ceiling:
+        if norm > DIVERGENCE_CEILING:
             return Verdict("diverged", at_step=step, growth=norm)
         self.small = self.small + 1 if diff < self.tol else 0
-        if self.small >= self.window:
+        if self.small >= WINDOW:
             return Verdict("converged", at_step=step)
-        if len(self.diffs) >= self.window:
-            d = self.diffs[-self.window:]
-            n = self.norms[-self.window:]
+        if len(self.diffs) >= WINDOW:
+            d = self.diffs[-WINDOW:]
+            n = self.norms[-WINDOW:]
             growing = all(b >= a * (1.0 - 1e-9)
                           for a, b in zip(n, n[1:])) and n[-1] > n[0]
             steady = all(b >= a * (1.0 - 1e-9)
                          for a, b in zip(d, d[1:])) and d[-1] > self.tol
             if growing and steady:
-                rate = (n[-1] / max(n[0], 1e-300)) ** (1.0 / (self.window - 1))
+                rate = (n[-1] / max(n[0], 1e-300)) ** (1.0 / (WINDOW - 1))
                 return Verdict("diverged", at_step=step, growth=rate)
         return None
 
 
-def _normalized_matrix(a: DynMap) -> np.ndarray:
-    r = a.spectrum.r
-    if r <= 1e-9 * max(1.0, a.spectrum.norm2):
-        raise ZeroSpectralRadiusError(
-            f"spectral radius {r} is numerically zero")
-    return a.matrix / r
-
-
-def _normalized_trajectory(kind: str, a: DynMap, x, n_max: int, tol: float,
-                           window: int) -> TrajectoryRecord:
+def _normalized_trajectory(kind: str, a: DynMap, x, n_max: int,
+                           tol: float) -> TrajectoryRecord:
     """Iterates (``power``) or running averages (``cesaro``) of the
     radius-normalized map applied to x, judged over a sliding window."""
-    m = _normalized_matrix(a)
+    m = a.matrix / a.spectrum.positive_r()
     v = np.asarray(x, dtype=float)
     shown = v.copy()
     record = TrajectoryRecord(kind, [shown.copy()])
-    judge = _WindowJudge(tol, window)
+    judge = _WindowJudge(tol)
     for step in range(1, n_max + 1):
         v = m @ v
         new = (step * shown + v) / (step + 1) if kind == "cesaro" else v
@@ -149,25 +141,25 @@ def _normalized_trajectory(kind: str, a: DynMap, x, n_max: int, tol: float,
     return record
 
 
-def cesaro_trajectory(a: DynMap, x, n_max: int, tol: float = 1e-10,
-                      window: int = 10) -> TrajectoryRecord:
+def cesaro_trajectory(a: DynMap, x, n_max: int,
+                      tol: float = 1e-10) -> TrajectoryRecord:
     """Running averages of the radius-normalized powers applied to x.
 
     For an ergodic map the averages converge to the rank-one projection of
     x onto the stationary direction; a linearly growing average is reported
     as diverged.
     """
-    return _normalized_trajectory("cesaro", a, x, n_max, tol, window)
+    return _normalized_trajectory("cesaro", a, x, n_max, tol)
 
 
-def power_trajectory(a: DynMap, x, n_max: int, tol: float = 1e-10,
-                     window: int = 10) -> TrajectoryRecord:
+def power_trajectory(a: DynMap, x, n_max: int,
+                     tol: float = 1e-10) -> TrajectoryRecord:
     """Iterates of the radius-normalized map applied to x.
 
     Converges to the rank-one projection of x exactly when the map is
     mixing (or x has no weight on the non-peak spectrum).
     """
-    return _normalized_trajectory("power", a, x, n_max, tol, window)
+    return _normalized_trajectory("power", a, x, n_max, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +273,7 @@ def decoupling_distance(x, layout: BipartiteLayout) -> float:
 
 
 def decoupling_trace(a: DynMap, x, layout: BipartiteLayout, n_max: int,
-                     tol: float = 1e-10, window: int = 10) -> TrajectoryRecord:
+                     tol: float = 1e-10) -> TrajectoryRecord:
     """Per-step decoupling distance of the normalized trajectory of x.
 
     The state is renormalized by its unit component at every step, so all
@@ -315,7 +307,7 @@ def decoupling_trace(a: DynMap, x, layout: BipartiteLayout, n_max: int,
         dist = decoupling_distance(state, layout)
         record.iterates.append(dist)
         small = small + 1 if dist < tol else 0
-        if small >= window:
+        if small >= WINDOW:
             record.verdict = Verdict("converged", limit=dist, at_step=step)
             record.final_state = state
             return record

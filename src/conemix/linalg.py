@@ -1,12 +1,11 @@
-"""Dense matrix kernel with a floating-point path and an exact-rational path.
+"""Dense matrix kernel: one exact-rational path and one float spectrum.
 
-Floating-point work (eigenvalues, singular values, large products) runs on
-numpy float64 arrays.  Rank and kernel questions, which decide the
-classification verdicts, additionally have an exact path over
-``fractions.Fraction`` entries: one fraction-free Gauss-Jordan elimination
-over cleared-denominator integers gives ranks, kernel bases and, through
-kernel chains, multiplicities.  :class:`Spectrum` keeps the spectral facts
-of one map.  Exact matrices are represented as lists of lists of Fraction.
+The exact path works on lists of lists of ``fractions.Fraction``: one
+fraction-free Gauss-Jordan elimination over cleared-denominator integers
+gives ranks, kernel bases and, through kernel chains, multiplicities.
+:class:`Spectrum` owns every spectral fact of one map, float (eigenvalues,
+singular values, peak counts) and exact (kernel chains at the radius),
+and decides when the radius counts as zero.
 """
 
 from __future__ import annotations
@@ -29,21 +28,14 @@ __all__ = [
     "RATIONAL",
     "FLOAT",
     "ScalarMode",
+    "FLOAT_MODE",
+    "RATIONAL_MODE",
     "MultiplicityPair",
     "ZeroSpectralRadiusError",
-    "kron",
-    "mat_power",
-    "kernel_dim",
-    "kernel_basis",
-    "spectral_radius",
-    "eigenvalues",
-    "multiplicities",
-    "eigenvalue_degree",
     "as_exact",
     "as_float",
     "exact_rank",
     "exact_identity",
-    "exact_sub",
     "exact_matmul",
     "is_rational_entry",
     "chain_pair",
@@ -72,10 +64,6 @@ class ScalarMode:
         if min(self.eps_rank, self.eps_cluster, self.eps_interior) <= 0:
             raise ValueError("tolerances must be positive")
 
-    @property
-    def exact(self) -> bool:
-        return self.kind == RATIONAL
-
     def scaled(self, factor: float) -> "ScalarMode":
         """Copy with all tolerances multiplied by ``factor``."""
         return ScalarMode(self.kind, self.eps_rank * factor,
@@ -97,7 +85,11 @@ class MultiplicityPair(NamedTuple):
 
 
 class ZeroSpectralRadiusError(ValueError):
-    """Raised by consumers when a positive spectral radius is required."""
+    """Raised by :meth:`Spectrum.positive_r` when the radius is zero."""
+
+
+#: relative floor below which a float spectral radius counts as zero
+RADIUS_FLOOR = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -135,10 +127,6 @@ def as_float(m) -> np.ndarray:
 
 def exact_identity(d: int) -> ExactMatrix:
     return [[Fraction(1 if i == j else 0) for j in range(d)] for i in range(d)]
-
-
-def exact_sub(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def exact_shift(m: ExactMatrix, lam: Fraction) -> ExactMatrix:
@@ -278,128 +266,25 @@ def exact_power(m: ExactMatrix, n: int) -> ExactMatrix:
 
 
 # ---------------------------------------------------------------------------
-# dispatching operations
+# the spectrum of one map
 # ---------------------------------------------------------------------------
-
-def _is_exact_matrix(m) -> bool:
-    return not isinstance(m, np.ndarray) and isinstance(m, list)
-
-
-def kron(a, b):
-    """Kronecker product; preserves the representation of its inputs."""
-    if _is_exact_matrix(a) and _is_exact_matrix(b):
-        return exact_kron(a, b)
-    return np.kron(as_float(a), as_float(b))
-
-
-def mat_power(m, n: int):
-    """n-th matrix power by repeated squaring; ``n == 0`` gives identity."""
-    if _is_exact_matrix(m):
-        return exact_power(m, n)
-    return np.linalg.matrix_power(as_float(m), n)
-
-
-def _count_null(sv: np.ndarray, mode: ScalarMode, scale: float = 0.0) -> int:
-    """Singular values at or below ``eps_rank`` times the largest one (or
-    ``scale``, when that is larger)."""
-    if sv.size == 0 or max(sv[0], scale) == 0.0:
-        return sv.size
-    return int(np.count_nonzero(sv <= mode.eps_rank * max(sv[0], scale)))
-
 
 def _float_pair(offsets: np.ndarray, shift_sv: Callable[[], np.ndarray],
                 scale: float, mode: ScalarMode) -> MultiplicityPair:
     """Float multiplicities of ``lam`` from the eigenvalues minus ``lam``
     (algebraic: those within ``eps_cluster``) and the singular values of
-    ``m - lam I`` (geometric: the small ones, clamped to ``[1, algebraic]``).
-    ``shift_sv()`` gives those singular values; it is called only when the
-    algebraic count is 2 or more, since the clamp fixes a count of 0 or 1.
+    ``m - lam I`` (geometric: those at most ``eps_rank`` times the largest
+    or ``scale``, clamped to ``[1, algebraic]``).  ``shift_sv()`` gives
+    those singular values; it is called only when the algebraic count is 2
+    or more, since the clamp fixes a count of 0 or 1.
     """
     algebraic = int(np.count_nonzero(np.abs(offsets) <= mode.eps_cluster))
     if algebraic <= 1:
         return MultiplicityPair(algebraic, algebraic)
-    geometric = _count_null(shift_sv(), mode, scale)
+    sv = shift_sv()
+    geometric = int(np.count_nonzero(sv <= mode.eps_rank * max(sv[0], scale)))
     return MultiplicityPair(max(1, min(geometric, algebraic)), algebraic)
 
-
-def kernel_dim(m, mode: ScalarMode = FLOAT_MODE, scale: float = 0.0) -> int:
-    """Null-space dimension of a square matrix.
-
-    Exact matrices are eliminated exactly; float matrices count singular
-    values below ``eps_rank`` times the largest one.  ``scale`` optionally
-    anchors the cutoff for matrices that are differences of larger ones
-    (e.g. ``A - I``), where a purely relative cutoff would mistake rounding
-    noise for full rank.
-    """
-    if _is_exact_matrix(m) and mode.exact:
-        return len(m) - exact_rank(m)
-    return _count_null(np.linalg.svd(as_float(m), compute_uv=False), mode,
-                       scale)
-
-
-def kernel_basis(m, mode: ScalarMode = FLOAT_MODE):
-    """Orthonormal (float) or rational (exact) basis of the null space."""
-    if _is_exact_matrix(m) and mode.exact:
-        return exact_kernel_basis(m)
-    a = as_float(m)
-    u, sv, vt = np.linalg.svd(a)
-    rank = sv.size - _count_null(sv, mode)
-    return [vt[i] for i in range(rank, a.shape[1])]
-
-
-def eigenvalues(m) -> np.ndarray:
-    """Complex eigenvalues (float path; exact inputs are converted)."""
-    return np.linalg.eigvals(as_float(m))
-
-
-def spectral_radius(m) -> float:
-    """Largest absolute value among the eigenvalues."""
-    return float(np.max(np.abs(eigenvalues(m)), initial=0.0))
-
-
-def multiplicities(m, lam, mode: ScalarMode = FLOAT_MODE) -> MultiplicityPair:
-    """Geometric and algebraic multiplicity of ``lam`` as an eigenvalue of m.
-
-    Exact path (rational ``lam``, exact matrix): read off the kernel chain
-    of ``m - lam I``.  Float path: geometric from a singular-value rank,
-    algebraic by counting computed eigenvalues within ``eps_cluster`` of
-    ``lam``.  Returns (0, 0) when ``lam`` is not an eigenvalue.
-    """
-    if _is_exact_matrix(m) and mode.exact:
-        return chain_pair(_kernel_chain(m, lam))
-    a = as_float(m)
-    lam = complex(lam)
-    return _float_pair(
-        np.linalg.eigvals(a) - lam,
-        lambda: np.linalg.svd(a.astype(complex) - lam * np.eye(len(a)),
-                              compute_uv=False),
-        float(np.linalg.norm(a, 2)) + abs(lam), mode)
-
-
-def eigenvalue_degree(m, lam, mode: ScalarMode = FLOAT_MODE) -> int:
-    """Size of the largest Jordan block of ``lam`` (0 if not an eigenvalue).
-
-    Diagnostic: the smallest k with ``dim ker (m - lam I)^k`` equal to the
-    algebraic multiplicity.
-    """
-    if _is_exact_matrix(m) and mode.exact:
-        return len(_kernel_chain(m, lam))
-    pair = multiplicities(m, lam, mode)
-    if pair.algebraic == 0:
-        return 0
-    a = as_float(m).astype(complex) - complex(lam) * np.eye(len(as_float(m)))
-    power = np.eye(a.shape[0], dtype=complex)
-    for k in range(1, a.shape[0] + 1):
-        power = power @ a
-        if _count_null(np.linalg.svd(power, compute_uv=False),
-                       mode) >= pair.algebraic:
-            return k
-    return a.shape[0]
-
-
-# ---------------------------------------------------------------------------
-# the spectrum of one map
-# ---------------------------------------------------------------------------
 
 class Spectrum:
     """Spectral facts of one square matrix, each computed on first use.
@@ -428,6 +313,19 @@ class Spectrum:
     @cached_property
     def norm2(self) -> float:
         return float(np.linalg.norm(self.matrix, 2))
+
+    def positive_r(self) -> float:
+        """r, or :class:`ZeroSpectralRadiusError` when it is zero: for an
+        exact matrix when it is nilpotent, for a float one when r is at most
+        ``RADIUS_FLOOR * max(1, ||A||_2)``."""
+        scale = max(1.0, self.norm2)
+        if self.exact is not None:
+            if self.r <= 1e-3 * scale and self.nilpotent:
+                raise ZeroSpectralRadiusError("the map is nilpotent")
+        elif self.r <= RADIUS_FLOOR * scale:
+            raise ZeroSpectralRadiusError(
+                f"spectral radius {self.r} is numerically zero")
+        return self.r
 
     @cached_property
     def _shift_sv(self) -> np.ndarray:

@@ -44,6 +44,8 @@ __all__ = [
 ]
 
 _SAMPLING_SEED = 1904
+#: pure states sampled when the Choi test cannot certify positivity
+_SAMPLES = 512
 
 
 class NegativeEntryError(ValueError):
@@ -263,8 +265,7 @@ def _haar_state(rng, h):
     return np.outer(psi, psi.conj())
 
 
-def is_positive(a: DynMap, mode: ScalarMode = FLOAT_MODE,
-                samples: int = 512) -> PositivityVerdict:
+def is_positive(a: DynMap, mode: ScalarMode = FLOAT_MODE) -> PositivityVerdict:
     """Does the map send its cone into itself?
 
     Orthant and polyhedral cones are decided exactly (image of every
@@ -322,7 +323,7 @@ def is_positive(a: DynMap, mode: ScalarMode = FLOAT_MODE,
                 "yes", "completely positive (Choi matrix is PSD)")
         rng = np.random.default_rng(_SAMPLING_SEED)
         basis = cone.basis
-        for k in range(samples):
+        for k in range(_SAMPLES):
             rho = _haar_state(rng, cone.h)
             out = a.matrix @ basis.vec(rho)
             lo = float(np.linalg.eigvalsh(basis.mat(out))[0])
@@ -332,7 +333,7 @@ def is_positive(a: DynMap, mode: ScalarMode = FLOAT_MODE,
                     f"eigenvalue {lo}")
         return PositivityVerdict(
             "unknown", f"Choi matrix is not PSD (min eigenvalue {w[0]:.3e}) "
-            f"but no violation found on {samples} sampled pure states; the "
+            f"but no violation found on {_SAMPLES} sampled pure states; the "
             "map may be positive without being completely positive")
 
     raise UnsupportedConeOperation(f"no positivity test for {cone!r}")

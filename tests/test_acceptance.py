@@ -25,7 +25,6 @@ from conemix import (
     from_stochastic,
     is_ergodic,
     is_mixing,
-    mat_power,
     period,
     power_trajectory,
     stationary_pair,
@@ -122,14 +121,14 @@ def test_criterion_5_decoupling_reproduction():
     assert rec.verdict.converged and rec.verdict.at_step <= 500
     assert min(rec.iterates) < 1e-6
     # limit state: the normalized long-run state reaches the corner
-    state = mat_power(pair.matrix, 10 ** 7) @ uniform
+    state = np.linalg.matrix_power(pair.matrix, 10 ** 7) @ uniform
     state /= state @ np.ones(4)
     assert float(np.linalg.norm(state - np.array([1, 0, 0, 0]))) < 1e-6
     assert decoupling_distance(state, layout) < 1e-6
 
     half = from_matrix(np.kron(shear, np.eye(2)), cone)
     x = np.array([0.1, 0.3, 0.2, 0.4])  # weight on the sheared components
-    state = mat_power(half.matrix, 10 ** 7) @ x
+    state = np.linalg.matrix_power(half.matrix, 10 ** 7) @ x
     state /= state @ np.ones(4)
     expected = np.kron([1.0, 0.0], [x[2], x[3]]) / (x[2] + x[3])
     assert float(np.linalg.norm(state - expected)) < 1e-6

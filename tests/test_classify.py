@@ -128,11 +128,11 @@ def test_swap_is_ergodic_not_mixing():
 
 
 def test_swap_kron_kernel_dimension():
-    from conemix import RATIONAL_MODE, kernel_dim, linalg
+    from conemix import linalg
     a = swap_chain()
     kron_exact = linalg.exact_kron(a.exact, a.exact)
-    shifted = linalg.exact_sub(kron_exact, linalg.exact_identity(4))
-    assert kernel_dim(shifted, RATIONAL_MODE) == 2
+    shifted = linalg.exact_shift(kron_exact, 1)
+    assert 4 - linalg.exact_rank(shifted) == 2
 
 
 def test_chain4_is_primitive():
@@ -243,11 +243,34 @@ def test_classify_reports_positivity_violation():
 
 
 def test_classify_nilpotent_map():
-    rep = classify(from_matrix([[0, 1], [0, 0]], Orthant(2)))
-    assert rep.r == 0.0
-    assert not any(rep.verdicts().values())
-    assert any(f.startswith("zero-spectral-radius")
-               for f in rep.hypothesis_flags)
+    # the second is the 6x6 shift conjugated by integer shears, whose
+    # float radius is near 4e-3
+    for rows in ([[0, 1], [0, 0]],
+                 [[5, -7, 0, 4, -11, -8], [1, -4, 1, 1, 0, -1],
+                  [2, -14, 9, -6, 13, 1], [2, -7, 2, 1, 0, -2],
+                  [0, 4, -5, 6, -9, -2], [3, -10, 7, -6, 6, -2]]):
+        rep = classify(from_matrix(rows, Orthant(len(rows))))
+        assert rep.r == 0.0
+        assert not any(rep.verdicts().values())
+        assert "zero-spectral-radius: the map is nilpotent" in \
+            rep.hypothesis_flags
+
+
+@pytest.mark.parametrize("rows", [[[-1]], [[-2]], [[-2, 0], [0, 1]]],
+                         ids=["minus-1", "minus-2", "diag-minus-2-1"])
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_peak_other_than_r_is_not_mixing(rows, exact):
+    # the only eigenvalue of modulus r is -r, so r^2 is a simple eigenvalue
+    # of the Kronecker square although r is no eigenvalue at all
+    data = rows if exact else np.array(rows, dtype=float)
+    a = from_matrix(data, Orthant(len(rows)))
+    routes = mixing_routes(a)
+    assert not routes["kron-geometric"]
+    assert not routes["spectral-gap"]
+    rep = classify(a)
+    assert not rep.ergodic and not rep.mixing
+    assert not any(f.startswith("lattice-correction")
+                   for f in rep.hypothesis_flags)
 
 
 def test_classify_lattice_holds_on_random_corpus():

@@ -306,6 +306,13 @@ def test_report_to_dict_shape():
 
 NILPOTENT = {"cone": {"type": "orthant", "dim": 2},
              "map": {"type": "matrix", "data": [[0, 1], [0, 0]]}}
+# the 6x6 shift conjugated by integer shears: exactly nilpotent, while
+# LAPACK puts its float radius near 4e-3
+DENSE_NILPOTENT = {"cone": {"type": "orthant", "dim": 6},
+                   "map": {"type": "matrix", "data": [
+                       [5, -7, 0, 4, -11, -8], [1, -4, 1, 1, 0, -1],
+                       [2, -14, 9, -6, 13, 1], [2, -7, 2, 1, 0, -2],
+                       [0, 4, -5, 6, -9, -2], [3, -10, 7, -6, 6, -2]]}}
 IDENTITY_CHAIN = {"map": {"type": "stochastic", "data": [[1, 0], [0, 1]]}}
 
 
@@ -317,6 +324,7 @@ IDENTITY_CHAIN = {"map": {"type": "stochastic", "data": [[1, 0], [0, 1]]}}
     (dict(IDENTITY_CHAIN, tolerances={"eps_rank": "abc"}), "classify"),
     (dict(IDENTITY_CHAIN, tolerances={"eps_rank": -1}), "classify"),
     (NILPOTENT, "simulate"),
+    (DENSE_NILPOTENT, "simulate"),
     ({"cone": {"type": "orthant", "dim": 2.7},
       "map": {"type": "matrix", "data": [[1, 0], [0, 1]]}}, "classify"),
     ({"cone": {"type": "orthant", "dim": True},
@@ -324,14 +332,14 @@ IDENTITY_CHAIN = {"map": {"type": "stochastic", "data": [[1, 0], [0, 1]]}}
     ({"cone": {"type": "psd", "hdim": 1.5},
       "map": {"type": "matrix", "data": [[1]]}}, "classify"),
 ], ids=["orthant-dim-x", "psd-hdim-0", "tolerance-abc", "tolerance-negative",
-        "simulate-nilpotent", "orthant-dim-2.7", "orthant-dim-true",
-        "psd-hdim-1.5"])
+        "simulate-nilpotent", "simulate-dense-nilpotent", "orthant-dim-2.7",
+        "orthant-dim-true", "psd-hdim-1.5"])
 def test_malformed_input_exits_2(tmp_path, capsys, doc, command):
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(doc))
     argv = [command, str(path)]
     if command == "simulate":
-        argv += ["--init", "1,1", "--steps", "3"]
+        argv += ["--init", "uniform", "--steps", "300"]
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert err.startswith("error: ")

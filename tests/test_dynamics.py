@@ -14,7 +14,6 @@ from conemix import (
     decoupling_trace,
     from_matrix,
     from_stochastic,
-    mat_power,
     power_trajectory,
     reduced_states,
     u_norm,
@@ -271,7 +270,7 @@ def test_decoupling_shear_square_product_state():
     assert rec.verdict.converged
     assert max(rec.iterates) < 1e-6  # product state stays product
     # the long-run state approaches the corner distribution
-    state = mat_power(a.matrix, 10 ** 7) @ np.full(4, 0.25)
+    state = np.linalg.matrix_power(a.matrix, 10 ** 7) @ np.full(4, 0.25)
     state /= state @ np.ones(4)
     np.testing.assert_allclose(state, [1, 0, 0, 0], atol=1e-6)
     assert decoupling_distance(state, orthant_layout()) < 1e-6
@@ -284,7 +283,7 @@ def test_decoupling_shear_times_identity():
     x = np.array([0.1, 0.3, 0.2, 0.4])
     rec = decoupling_trace(a, x, orthant_layout(), 200, tol=1e-3)
     assert rec.iterates[-1] < rec.iterates[1]  # distance is shrinking
-    state = mat_power(a.matrix, 10 ** 7) @ x
+    state = np.linalg.matrix_power(a.matrix, 10 ** 7) @ x
     state /= state @ np.ones(4)
     expected = np.kron([1.0, 0.0], [x[2], x[3]]) / (x[2] + x[3])
     np.testing.assert_allclose(state, expected, atol=1e-6)

@@ -1,0 +1,33 @@
+"""The public surface: every name in a module's ``__all__`` exists, and the
+package re-exports only names that their module declares public."""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import conemix
+
+MODULES = sorted(info.name for info in pkgutil.iter_modules(conemix.__path__))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_name_in_all_exists(name):
+    module = importlib.import_module(f"conemix.{name}")
+    assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+def test_package_reexports_only_public_names():
+    tree = ast.parse(Path(conemix.__file__).read_text(encoding="utf-8"))
+    stray = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1 \
+                and node.module:
+            declared = importlib.import_module(
+                f"conemix.{node.module}").__all__
+            stray += [f"{node.module}.{alias.name}" for alias in node.names
+                      if not alias.name.startswith("_")
+                      and alias.name not in declared]
+    assert stray == []

@@ -21,7 +21,6 @@ from conemix import (
     from_stochastic,
     is_dup,
     is_positive,
-    spectral_radius,
 )
 from conemix.cli import report_to_dict
 from helpers import random_hermitian, random_kraus_channel, \
@@ -183,9 +182,9 @@ def test_dup_implies_unit_radius():
     rng = np.random.default_rng(25)
     for d in (2, 3, 4, 5):
         a = random_stochastic_map(rng, d)
-        assert spectral_radius(a.matrix) == pytest.approx(1.0, abs=1e-8)
+        assert a.spectrum.r == pytest.approx(1.0, abs=1e-8)
     b = random_kraus_channel(rng, 3)
-    assert spectral_radius(b.matrix) == pytest.approx(1.0, abs=1e-8)
+    assert b.spectrum.r == pytest.approx(1.0, abs=1e-8)
 
 
 def test_stochastic_maps_preserve_total_probability():
