@@ -28,13 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cones import (
-    Cone,
-    Orthant,
-    Psd,
-    TensorCone,
-    UnsupportedConeOperation,
-)
+from .cones import Orthant, Psd, UnsupportedConeOperation, is_classical
 from .linalg import (
     FLOAT_MODE,
     RATIONAL_MODE,
@@ -413,12 +407,6 @@ def mixing_routes(a: DynMap, mode: ScalarMode = FLOAT_MODE) -> dict:
     return routes
 
 
-def _classical_pattern(cone: Cone) -> bool:
-    if isinstance(cone, Orthant):
-        return True
-    return isinstance(cone, TensorCone) and isinstance(cone._inner(), Orthant)
-
-
 def _interior_pair_route(a: DynMap, base: bool, mode: ScalarMode) -> Route:
     """base verdict (ergodic/mixing) AND interior stationary pair."""
     if not base:
@@ -516,7 +504,7 @@ def irreducible_routes(a: DynMap, mode: ScalarMode = FLOAT_MODE) -> dict:
     else:
         routes["binomial-power"] = _binomial_power_route(a, gens, mode)
         routes["reachability"] = _reachability_route(a, gens, dual_gens, mode)
-    if _classical_pattern(a.cone):
+    if is_classical(a.cone):
         routes["digraph"] = Route(
             strongly_connected(digraph_of(a, mode)), a.exact is not None)
     return routes
@@ -534,7 +522,7 @@ def primitive_routes(a: DynMap, mode: ScalarMode = FLOAT_MODE) -> dict:
     mixing = _resolve(mixing_routes(a, mode)).value
     routes = {}
     routes["interior-pair"] = _interior_pair_route(a, mixing, mode)
-    if _classical_pattern(a.cone):
+    if is_classical(a.cone):
         g = digraph_of(a, mode)
         exact = a.exact is not None
         routes["kron-digraph"] = Route(

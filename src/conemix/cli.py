@@ -392,17 +392,12 @@ def _cmd_classify(args) -> int:
 
 
 def _uniform_state(cone: Cone) -> np.ndarray:
-    if isinstance(cone, Orthant):
-        return np.full(cone.dim, 1.0 / cone.dim)
     if isinstance(cone, Psd):
         return cone.default_unit() / cone.h
     if isinstance(cone, TensorCone):
         return np.kron(_uniform_state(cone.left), _uniform_state(cone.right))
-    if isinstance(cone, Polyhedral):
-        gens = cone.extremal_generators()
-        x = np.sum(gens, axis=0)
-        return x / float(cone.default_unit() @ x)
-    raise SchemaError(f"no uniform preset for {cone!r}")
+    x = np.sum(cone.extremal_generators(), axis=0)
+    return x / float(cone.default_unit() @ x)
 
 
 def _parse_init(arg, cone: Cone):

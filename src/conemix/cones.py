@@ -6,16 +6,22 @@ Four cone families are supported:
 * ``Psd(h)`` -- positive semidefinite matrices inside the h*h Hermitian
   matrices, coordinatized by an orthonormal Hermitian basis so the ambient
   space is R^(h^2) and the trace inner product is the standard dot product
-  (self-dual).
+  (self-dual).  ``h`` is capped at ``Psd.MAX_H``.
 * ``Polyhedral(generators)`` -- the conic hull of finitely many vectors.
   Construction enumerates the extreme rays of the dual cone exactly (over
   rationals), after which every membership query is a dot-product loop.
   Its ``dual()`` reuses those rays: no second enumeration runs.
 * ``TensorCone(left, right)`` -- the minimal tensor-product cone, i.e. the
   conic hull of pairwise products.  Fully supported for orthant/polyhedral
-  operands; for PSD operands only product vectors can be tested (general
-  separability testing is intractable) and other queries raise
+  operands, whose queries go to one inner orthant or polyhedral cone; for
+  PSD operands only product vectors can be tested (general separability
+  testing is intractable) and other queries raise
   :class:`UnsupportedConeOperation`.
+
+A cone's exact extreme rays and exact dual rays are the one source of its
+other facts: ``extremal_generators()`` is their float copy and
+``default_unit()`` the float sum of the dual rays (PSD and tensor cones
+keep their identity and product units).
 
 Query vectors may be float arrays (tolerance comparisons, scaled by the
 vector norm) or sequences of ints/Fractions (exact comparisons where the
@@ -49,6 +55,7 @@ __all__ = [
     "DimensionMismatchError",
     "InvalidUnitError",
     "validate_unit",
+    "is_classical",
 ]
 
 
@@ -118,7 +125,9 @@ class Cone:
         return self.dual().interior_contains(y, mode)
 
     def extremal_generators(self) -> list:
-        raise NotImplementedError
+        """Float copies of :meth:`exact_extremal_generators`, same order."""
+        return [np.array([float(v) for v in g])
+                for g in self.exact_extremal_generators()]
 
     def exact_extremal_generators(self) -> list:
         """Extreme rays over Fractions; raises where no finite list exists."""
@@ -134,7 +143,10 @@ class Cone:
         raise NotImplementedError
 
     def default_unit(self) -> np.ndarray:
-        raise NotImplementedError
+        """Float sum of the dual cone's extreme rays, which is strictly
+        positive on every nonzero vector of the cone."""
+        return np.sum([[float(v) for v in y]
+                       for y in self.exact_dual_generators()], axis=0)
 
 
 def validate_unit(cone: Cone, u, mode: ScalarMode = FLOAT_MODE) -> np.ndarray:
@@ -180,16 +192,10 @@ class Orthant(Cone):
     def dual(self):
         return self  # self-dual
 
-    def extremal_generators(self):
-        return [np.eye(self.dim)[i] for i in range(self.dim)]
-
     def exact_extremal_generators(self):
         one, zero = Fraction(1), Fraction(0)
         return [[one if i == j else zero for j in range(self.dim)]
                 for i in range(self.dim)]
-
-    def default_unit(self):
-        return np.ones(self.dim)
 
 
 class HermBasis:
@@ -247,7 +253,12 @@ class HermBasis:
 class Psd(Cone):
     """PSD matrices over h*h Hermitians, in orthonormal-basis coordinates."""
 
+    #: the basis holds h^4 complex entries, so larger h is refused up front
+    MAX_H = 32
+
     def __init__(self, h: int):
+        if h > self.MAX_H:
+            raise ValueError(f"matrix dimension {h} exceeds the cap {self.MAX_H}")
         self.h = int(h)
         self.basis = HermBasis(h)
         self.dim = self.basis.dim
@@ -277,11 +288,6 @@ class Psd(Cone):
 
     def dual(self):
         return self  # self-dual
-
-    def extremal_generators(self):
-        raise UnsupportedConeOperation(
-            "the PSD cone has a continuum of extremal rays (rank-one "
-            "projectors); use eigenvector-based criteria instead")
 
     def default_unit(self):
         return self.basis.vec(np.eye(self.h))
@@ -403,15 +409,8 @@ class Polyhedral(Cone):
     def interior_dual_contains(self, y, mode=FLOAT_MODE):
         return self._dots(self._gens, self._gens_f, y, mode, strict=True)
 
-    def extremal_generators(self):
-        return [np.array([float(v) for v in g]) for g in self._extremal]
-
     def exact_extremal_generators(self):
         return [list(g) for g in self._extremal]
-
-    def dual_generators(self):
-        """Extreme rays of the dual cone (floats, cached from construction)."""
-        return [np.array([float(v) for v in y]) for y in self._dual_rays]
 
     def exact_dual_generators(self):
         return [list(y) for y in self._dual_rays]
@@ -432,10 +431,6 @@ class Polyhedral(Cone):
         dual._extremal = gens
         return dual
 
-    def default_unit(self):
-        # sum of dual extreme rays is strictly positive on every generator
-        return np.sum(self.dual_generators(), axis=0)
-
 
 def _unit_rows(rows):
     arr = np.array([[float(v) for v in r] for r in rows])
@@ -448,31 +443,29 @@ class TensorCone(Cone):
 
     Vector index convention matches the Kronecker product: component
     ``i * right.dim + j`` multiplies (left basis i) x (right basis j).
+    Finite operands give an inner orthant or polyhedral cone that answers
+    every query; PSD operands leave it None.
     """
 
     def __init__(self, left: Cone, right: Cone):
         self.left = left
         self.right = right
         self.dim = left.dim * right.dim
-        self._delegate = None
-        self._poly = None
+        self._inner = None
         if isinstance(left, Orthant) and isinstance(right, Orthant):
             # products of standard basis vectors are the standard basis
-            self._delegate = Orthant(self.dim)
-        else:
-            try:
-                pairs = product(left.exact_extremal_generators(),
-                                right.exact_extremal_generators())
-            except UnsupportedConeOperation:
-                return  # PSD operands: no finite generator list
-            self._poly = Polyhedral([[a * b for a in g for b in h]
-                                     for g, h in pairs])
+            self._inner = Orthant(self.dim)
+            return
+        try:
+            pairs = product(left.exact_extremal_generators(),
+                            right.exact_extremal_generators())
+        except UnsupportedConeOperation:
+            return  # PSD operands: no finite generator list
+        self._inner = Polyhedral([[a * b for a in g for b in h]
+                                  for g, h in pairs])
 
     def __repr__(self):
         return f"TensorCone({self.left!r}, {self.right!r})"
-
-    def _inner(self):
-        return self._delegate if self._delegate is not None else self._poly
 
     def _factor(self, x, mode):
         """Split x into (a, b) with x = a (x) b, or None if not a product."""
@@ -487,88 +480,60 @@ class TensorCone(Cone):
         b = vt[0] * math.sqrt(sv[0])
         return a, b
 
-    def contains(self, x, mode=FLOAT_MODE):
+    def _finite(self):
+        if self._inner is None:
+            raise UnsupportedConeOperation(
+                f"{self!r} has no finite exact generator list")
+        return self._inner
+
+    def _query(self, name, x, mode, what=None):
+        """Answer the query ``name`` on the inner cone; with PSD operands
+        and a ``what`` to name the query, on the operands for the factors
+        (a, b) or (-a, -b) of a product vector x: a (x) b = (-a) (x) (-b)."""
         self._check_dim(x)
-        inner = self._inner()
-        if inner is not None:
-            return inner.contains(x, mode)
+        if self._inner is not None or what is None:
+            return getattr(self._finite(), name)(x, mode)
         factors = self._factor(x, mode)
         if factors is None:
             raise UnsupportedConeOperation(
-                "membership in a tensor cone with PSD operands is only "
+                f"{what} in a tensor cone with PSD operands is only "
                 "decidable for product vectors")
         a, b = factors
-        return ((self.left.contains(a, mode) and self.right.contains(b, mode))
-                or (self.left.contains(-a, mode) and self.right.contains(-b, mode)))
+        left, right = getattr(self.left, name), getattr(self.right, name)
+        return ((left(a, mode) and right(b, mode))
+                or (left(-a, mode) and right(-b, mode)))
+
+    def contains(self, x, mode=FLOAT_MODE):
+        return self._query("contains", x, mode, "membership")
 
     def interior_contains(self, x, mode=FLOAT_MODE):
-        self._check_dim(x)
-        inner = self._inner()
-        if inner is not None:
-            return inner.interior_contains(x, mode)
-        # no finite description: product vectors a (x) b are interior iff
-        # both factors are interior in their operand cones
-        factors = self._factor(x, mode)
-        if factors is None:
-            raise UnsupportedConeOperation(
-                "interior membership in a tensor cone with PSD operands is "
-                "only decidable for product vectors")
-        a, b = factors
-        return ((self.left.interior_contains(a, mode)
-                 and self.right.interior_contains(b, mode))
-                or (self.left.interior_contains(-a, mode)
-                    and self.right.interior_contains(-b, mode)))
+        return self._query("interior_contains", x, mode,
+                           "interior membership")
 
     def dual_contains(self, y, mode=FLOAT_MODE):
-        self._check_dim(y)
-        inner = self._inner()
-        if inner is not None:
-            return inner.dual_contains(y, mode)
-        raise UnsupportedConeOperation(
-            "the dual of a tensor cone with PSD operands has no finite "
-            "generator description")
+        return self._query("dual_contains", y, mode)
 
     def interior_dual_contains(self, y, mode=FLOAT_MODE):
-        self._check_dim(y)
-        inner = self._inner()
-        if inner is not None:
-            return inner.interior_dual_contains(y, mode)
-        factors = self._factor(y, mode)
-        if factors is None:
-            raise UnsupportedConeOperation(
-                "dual-interior membership in a tensor cone with PSD operands "
-                "is only decidable for product vectors")
-        a, b = factors
-        return ((self.left.interior_dual_contains(a, mode)
-                 and self.right.interior_dual_contains(b, mode))
-                or (self.left.interior_dual_contains(-a, mode)
-                    and self.right.interior_dual_contains(-b, mode)))
-
-    def extremal_generators(self):
-        gens = []
-        for g in self.left.extremal_generators():
-            for h in self.right.extremal_generators():
-                gens.append(np.kron(g, h))
-        return gens
+        return self._query("interior_dual_contains", y, mode,
+                           "dual-interior membership")
 
     def exact_extremal_generators(self):
-        if self._inner() is None:
-            return super().exact_extremal_generators()
-        return self._inner().exact_extremal_generators()
+        return self._finite().exact_extremal_generators()
 
     def exact_dual_generators(self):
-        if self._inner() is None:
-            return super().exact_dual_generators()
-        return self._inner().exact_dual_generators()
+        return self._finite().exact_dual_generators()
 
     def dual(self):
-        if self._delegate is not None:
+        if isinstance(self._inner, Orthant):
             return self  # orthant (x) orthant is an orthant: self-dual
-        if self._poly is None:
-            raise UnsupportedConeOperation(
-                "the dual of a tensor cone with PSD operands has no finite "
-                "description")
-        return self._poly.dual()
+        return self._finite().dual()
 
     def default_unit(self):
         return np.kron(self.left.default_unit(), self.right.default_unit())
+
+
+def is_classical(cone: Cone) -> bool:
+    """Is the cone an orthant, or a tensor of two orthants (which is the
+    orthant of the product dimension in Kronecker coordinates)?"""
+    return isinstance(cone, Orthant) or (
+        isinstance(cone, TensorCone) and isinstance(cone._inner, Orthant))

@@ -18,10 +18,10 @@ import numpy as np
 from .cones import (
     Cone,
     InvalidUnitError,
-    Orthant,
     Psd,
     TensorCone,
     UnsupportedConeOperation,
+    is_classical,
 )
 from .linalg import FLOAT_MODE, ScalarMode
 from .maps import DynMap
@@ -236,9 +236,7 @@ def u_norm(x, u, cone: Cone, mode: ScalarMode = FLOAT_MODE) -> float:
         raise InvalidUnitError("unit element is not interior to the dual cone")
     xf = np.asarray(x, dtype=float)
     uf = np.asarray(u, dtype=float)
-    if isinstance(cone, TensorCone) and isinstance(cone._inner(), Orthant):
-        cone = cone._inner()
-    if isinstance(cone, Orthant):
+    if is_classical(cone):
         return float(np.sum(uf * np.abs(xf)))
     if isinstance(cone, Psd):
         basis = cone.basis

@@ -315,14 +315,14 @@ class Spectrum:
         return float(np.linalg.norm(self.matrix, 2))
 
     def positive_r(self) -> float:
-        """r, or :class:`ZeroSpectralRadiusError` when it is zero: for an
-        exact matrix when it is nilpotent, for a float one when r is at most
+        """r, or :class:`ZeroSpectralRadiusError` when it is zero: when r is
+        at most ``1e-3 * max(1, ||A||_2)`` and the matrix is nilpotent, and
+        for a float matrix also when r is at most
         ``RADIUS_FLOOR * max(1, ||A||_2)``."""
         scale = max(1.0, self.norm2)
-        if self.exact is not None:
-            if self.r <= 1e-3 * scale and self.nilpotent:
-                raise ZeroSpectralRadiusError("the map is nilpotent")
-        elif self.r <= RADIUS_FLOOR * scale:
+        if self.r <= 1e-3 * scale and self.nilpotent:
+            raise ZeroSpectralRadiusError("the map is nilpotent")
+        if self.exact is None and self.r <= RADIUS_FLOOR * scale:
             raise ZeroSpectralRadiusError(
                 f"spectral radius {self.r} is numerically zero")
         return self.r
@@ -401,6 +401,13 @@ class Spectrum:
 
     @cached_property
     def nilpotent(self) -> bool:
-        """Exact matrices only: is 0 an eigenvalue of full multiplicity?"""
-        return chain_pair(_kernel_chain(self.exact, 0)).algebraic == \
-            len(self.exact)
+        """Is A^d = 0 in the map's own arithmetic?  The float matrix is
+        first scaled by a power of two to unit row-sum norm: that adds no
+        rounding, keeps every power's entries at most 1, and keeps a small
+        map's powers from underflowing to a false zero."""
+        d = len(self.matrix)
+        if self.exact is not None:
+            return not any(v for row in exact_power(self.exact, d) for v in row)
+        top = float(np.max(np.sum(np.abs(self.matrix), axis=1), initial=0.0))
+        scaled = np.ldexp(self.matrix, -math.frexp(top)[1])
+        return not np.any(np.linalg.matrix_power(scaled, d))

@@ -27,7 +27,14 @@ from .cones import (
     UnsupportedConeOperation,
     validate_unit,
 )
-from .linalg import FLOAT_MODE, ScalarMode, Spectrum, as_float, is_rational_entry
+from .linalg import (
+    FLOAT_MODE,
+    ScalarMode,
+    Spectrum,
+    as_float,
+    exact_matvec,
+    is_rational_entry,
+)
 
 __all__ = [
     "DynMap",
@@ -76,12 +83,7 @@ class DynMap:
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=float)
-        if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
-            raise DimensionMismatchError("map matrix must be square")
-        if self.matrix.shape[0] != self.cone.dim:
-            raise DimensionMismatchError(
-                f"{self.matrix.shape[0]}x{self.matrix.shape[0]} matrix on a "
-                f"cone of dimension {self.cone.dim}")
+        _check_shape(self.matrix, self.cone)
         if not np.all(np.isfinite(self.matrix)):
             raise ValueError("map matrix has non-finite entries")
         self.unit = np.asarray(self.unit, dtype=float)
@@ -107,6 +109,15 @@ class PositivityVerdict:
         return self.value == "yes"
 
 
+def _check_shape(matrix, cone):
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise DimensionMismatchError("map matrix must be square")
+    if matrix.shape[0] != cone.dim:
+        raise DimensionMismatchError(
+            f"{matrix.shape[0]}x{matrix.shape[0]} matrix on a cone of "
+            f"dimension {cone.dim}")
+
+
 def _exact_rows(m):
     rows = []
     for row in m:
@@ -125,16 +136,16 @@ def from_matrix(m, cone: Cone, unit=None, mode: ScalarMode = FLOAT_MODE) -> DynM
     """Wrap a raw square matrix acting on ``cone``.
 
     Rational entries (ints, Fractions, or ``"p/q"`` strings) keep an exact
-    copy for the exact classification routes.
+    copy for the exact classification routes.  The shape is checked against
+    the cone before anything of the cone's size is built.
     """
     exact = None if isinstance(m, np.ndarray) else _exact_rows(m)
     matrix = as_float(exact) if exact is not None else np.asarray(m, dtype=float)
+    _check_shape(matrix, cone)
     unit_exact = None
     if unit is None:
         unit_f = cone.default_unit()
-        if isinstance(cone, Orthant):
-            unit_exact = [Fraction(1)] * cone.dim
-        elif isinstance(cone, Polyhedral):
+        if isinstance(cone, (Orthant, Polyhedral)):
             unit_exact = [sum(col) for col in zip(*cone.exact_dual_generators())]
     else:
         if not isinstance(unit, np.ndarray) and all(is_rational_entry(v) for v in unit):
@@ -143,7 +154,7 @@ def from_matrix(m, cone: Cone, unit=None, mode: ScalarMode = FLOAT_MODE) -> DynM
     return DynMap(matrix, cone, unit_f, exact=exact, unit_exact=unit_exact)
 
 
-def from_stochastic(w, mode: ScalarMode = FLOAT_MODE) -> DynMap:
+def from_stochastic(w) -> DynMap:
     """Build a column-stochastic map on the orthant with the all-ones unit.
 
     Raises :class:`NegativeEntryError` / :class:`ColumnSumViolationError`
@@ -217,20 +228,19 @@ def from_kraus(ops) -> DynMap:
 
 
 def adjoint(a: DynMap) -> DynMap:
-    """Adjoint map: the transpose, acting on the dual cone ``a.cone.dual()``.
+    """Adjoint map: the transpose, acting on the dual cone ``a.cone.dual()``
+    with that cone's default unit (interior to its dual, the cone of a).
 
     Coordinates are orthonormal for the ambient inner product, so the
     adjoint is literally the transpose.  Self-dual cones keep their cone;
     tensor cones with PSD operands raise :class:`UnsupportedConeOperation`.
     """
-    exact_t = None
     if a.exact is not None:
-        exact_t = [list(col) for col in zip(*a.exact)]
-    return DynMap(a.matrix.T.copy(), a.cone.dual(), a.unit.copy(),
-                  exact=exact_t, unit_exact=a.unit_exact, provenance="raw")
+        return from_matrix([list(col) for col in zip(*a.exact)], a.cone.dual())
+    return from_matrix(a.matrix.T.copy(), a.cone.dual())
 
 
-def is_dup(a: DynMap, mode: ScalarMode = FLOAT_MODE) -> bool:
+def is_dup(a: DynMap) -> bool:
     """Does the adjoint fix the unit element (A* u = u)?
 
     Exact when both the matrix and the unit are rational; otherwise within
@@ -268,8 +278,9 @@ def _haar_state(rng, h):
 def is_positive(a: DynMap, mode: ScalarMode = FLOAT_MODE) -> PositivityVerdict:
     """Does the map send its cone into itself?
 
-    Orthant and polyhedral cones are decided exactly (image of every
-    extremal generator).  For the PSD cone the question is only
+    Orthant cones are decided on the entries; polyhedral and finite tensor
+    cones on the image of every exact extremal generator, in the map's own
+    arithmetic.  For the PSD cone the question is only
     semi-decidable: a PSD Choi matrix certifies yes (complete positivity
     implies positivity), a sampled pure state whose image has a negative
     eigenvalue certifies no, and otherwise the verdict is unknown.
@@ -293,22 +304,17 @@ def is_positive(a: DynMap, mode: ScalarMode = FLOAT_MODE) -> PositivityVerdict:
 
     if isinstance(cone, (Polyhedral, TensorCone)):
         try:
-            gens = cone.extremal_generators()
+            gens = cone.exact_extremal_generators()
         except UnsupportedConeOperation:
             return PositivityVerdict(
                 "unknown", "tensor cone with PSD operands: no finite "
                 "generator test")
-        use_exact = a.exact is not None and isinstance(cone, Polyhedral)
-        exact_gens = cone.exact_extremal_generators() if use_exact else None
         for idx, g in enumerate(gens):
-            if use_exact:
-                ge = exact_gens[idx]
-                img = [sum(row[j] * ge[j] for j in range(a.dim))
-                       for row in a.exact]
-                inside = cone.contains(img, mode)
+            if a.exact is not None:
+                image = exact_matvec(a.exact, g)
             else:
-                inside = cone.contains(a.matrix @ g, mode)
-            if not inside:
+                image = a.matrix @ np.array([float(v) for v in g])
+            if not cone.contains(image, mode):
                 return PositivityVerdict(
                     "no", f"image of extremal generator {idx} leaves the cone")
         return PositivityVerdict("yes", "every extremal generator maps into "

@@ -256,6 +256,36 @@ def test_classify_nilpotent_map():
             rep.hypothesis_flags
 
 
+def _shear_conjugated_shifts(rng, count):
+    """Integer maps S N S^-1 for the shift N and unimodular shears S:
+    nilpotent, with integer powers that float arithmetic computes exactly."""
+    for k in range(count):
+        d = 3 + k % 4
+        p = np.eye(d, dtype=np.int64)
+        for _ in range(3):
+            i, j = rng.choice(d, size=2, replace=False)
+            shear = np.eye(d, dtype=np.int64)
+            shear[i, j] = rng.integers(-2, 3)
+            p = p @ shear
+        p_inv = np.rint(np.linalg.inv(p)).astype(np.int64)
+        yield p @ np.eye(d, k=1, dtype=np.int64) @ p_inv
+
+
+def test_float_nilpotent_maps_have_zero_radius():
+    # LAPACK puts some of their float radii as high as 4e-3
+    maps = [np.array([[-24, -64], [9, 24]]),
+            np.array([[5, -7, 0, 4, -11, -8], [1, -4, 1, 1, 0, -1],
+                      [2, -14, 9, -6, 13, 1], [2, -7, 2, 1, 0, -2],
+                      [0, 4, -5, 6, -9, -2], [3, -10, 7, -6, 6, -2]])]
+    maps += _shear_conjugated_shifts(np.random.default_rng(2024), 20)
+    for m in maps:
+        rep = classify(from_matrix(m.astype(float), Orthant(len(m))))
+        assert rep.r == 0.0
+        assert not any(rep.verdicts().values())
+        assert "zero-spectral-radius: the map is nilpotent" in \
+            rep.hypothesis_flags
+
+
 @pytest.mark.parametrize("rows", [[[-1]], [[-2]], [[-2, 0], [0, 1]]],
                          ids=["minus-1", "minus-2", "diag-minus-2-1"])
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])

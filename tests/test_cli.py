@@ -331,9 +331,18 @@ IDENTITY_CHAIN = {"map": {"type": "stochastic", "data": [[1, 0], [0, 1]]}}
       "map": {"type": "matrix", "data": [[1]]}}, "classify"),
     ({"cone": {"type": "psd", "hdim": 1.5},
       "map": {"type": "matrix", "data": [[1]]}}, "classify"),
+    ({"cone": {"type": "orthant", "dim": 2}, "mode": "float",
+      "map": {"type": "matrix", "data": [[-24, -64], [9, 24]]}}, "simulate"),
+    (dict(DENSE_NILPOTENT, mode="float"), "simulate"),
+    ({"cone": {"type": "orthant", "dim": 10 ** 12},
+      "map": {"type": "matrix", "data": [[1]]}}, "classify"),
+    ({"cone": {"type": "psd", "hdim": 10 ** 6},
+      "map": {"type": "matrix", "data": [[1]]}}, "classify"),
 ], ids=["orthant-dim-x", "psd-hdim-0", "tolerance-abc", "tolerance-negative",
         "simulate-nilpotent", "simulate-dense-nilpotent", "orthant-dim-2.7",
-        "orthant-dim-true", "psd-hdim-1.5"])
+        "orthant-dim-true", "psd-hdim-1.5", "simulate-nilpotent-float",
+        "simulate-dense-nilpotent-float", "orthant-dim-1e12",
+        "psd-hdim-1e6"])
 def test_malformed_input_exits_2(tmp_path, capsys, doc, command):
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(doc))

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 import pytest
@@ -90,6 +91,38 @@ def test_extremal_generators():
         Psd(2).extremal_generators()
 
 
+@cache
+def _finite_cones():
+    cones = {"orthant-3": Orthant(3),
+             "orthant(x)orthant": TensorCone(Orthant(2), Orthant(3))}
+    for name, cone in seeded_polyhedral_cones(
+            np.random.default_rng(8)).items():
+        cones[name] = cone
+        if name.startswith("cyclic"):
+            cones[f"{name}-dual"] = cone.dual()
+    return cones
+
+
+@pytest.mark.parametrize("name", [
+    "orthant-3", "orthant(x)orthant", "cyclic-4", "cyclic-4-dual",
+    "cyclic-5", "cyclic-5-dual", "cyclic-6", "cyclic-6-dual",
+    "triangle(x)square", "psd", "psd(x)orthant"])
+def test_float_facts_derive_from_exact_rays(name):
+    if name.startswith("psd"):
+        cone = Psd(2) if name == "psd" else TensorCone(Psd(2), Orthant(2))
+        with pytest.raises(UnsupportedConeOperation):
+            cone.extremal_generators()
+        return
+    cone = _finite_cones()[name]
+    floats = [g.tolist() for g in cone.extremal_generators()]
+    assert floats == [[float(v) for v in g]
+                      for g in cone.exact_extremal_generators()]
+    if not isinstance(cone, TensorCone):
+        rays = [[float(v) for v in y] for y in cone.exact_dual_generators()]
+        assert cone.default_unit().tolist() == \
+            np.sum(rays, axis=0).tolist()
+
+
 def test_polyhedral_rejects_unpointed():
     with pytest.raises(ValueError):
         Polyhedral([[1, 0], [-1, 0], [0, 1]])
@@ -142,7 +175,7 @@ def test_minimal_tensor_members_pass_product_dual_test():
     left = Polyhedral([[1, 0], [1, 1]])
     right = Orthant(2)
     cone = TensorCone(left, right)
-    dual_products = [np.kron(y, e) for y in left.dual_generators()
+    dual_products = [np.kron(y, e) for y in left.dual().extremal_generators()
                      for e in right.extremal_generators()]
     for _ in range(40):
         terms = []
@@ -163,6 +196,13 @@ def test_tensor_psd_supports_products_only():
     assert cone.interior_contains(inside)
     boundary = np.kron(vec(np.eye(2)), vec(np.diag([1.0, 0.0])))
     assert not cone.interior_contains(boundary)
+    # (-a) (x) (-b) = a (x) b: the product queries accept either sign
+    negated = np.kron(-vec(np.eye(2)), -vec(np.diag([1.0, 2.0])))
+    assert cone.contains(negated)
+    assert cone.interior_contains(negated)
+    assert cone.interior_dual_contains(negated)
+    with pytest.raises(UnsupportedConeOperation):
+        cone.dual_contains(negated)
     correlated = (np.kron(vec(np.diag([1.0, 0.0])), vec(np.diag([1.0, 0.0])))
                   + np.kron(vec(np.diag([0.0, 1.0])), vec(np.diag([0.0, 1.0]))))
     with pytest.raises(UnsupportedConeOperation):

@@ -4,6 +4,7 @@ package re-exports only names that their module declares public."""
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,9 @@ import pytest
 import conemix
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(conemix.__path__))
+#: a cone's private state, which only ``cones.py`` may read
+CONE_PRIVATE = re.compile(
+    r"\._(inner|poly|delegate|gens|dual_rays|extremal|gens_f|dual_f)\b")
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -31,3 +35,15 @@ def test_package_reexports_only_public_names():
                       if not alias.name.startswith("_")
                       and alias.name not in declared]
     assert stray == []
+
+
+def test_only_cones_reads_private_cone_state():
+    hits = []
+    for path in sorted(Path(conemix.__file__).parent.glob("*.py")):
+        if path.name == "cones.py":
+            continue
+        for n, line in enumerate(path.read_text(encoding="utf-8")
+                                 .splitlines(), 1):
+            if CONE_PRIVATE.search(line):
+                hits.append(f"{path.name}:{n}: {line.strip()}")
+    assert hits == []

@@ -8,11 +8,11 @@ from conemix import (
     RATIONAL_MODE,
     ColumnSumViolationError,
     DimensionMismatchError,
-    DynMap,
     NegativeEntryError,
     Orthant,
     Polyhedral,
     Psd,
+    TensorCone,
     adjoint,
     choi_matrix,
     classify,
@@ -146,6 +146,16 @@ def test_is_positive_polyhedral():
     assert is_positive(rotates).value == "no"
 
 
+def test_is_positive_tensor_is_exact_on_rational_maps():
+    # a -1/10^13 entry is inside the float tolerance but not the cone
+    rows = [[Fraction(int(i == j)) for j in range(4)] for i in range(4)]
+    rows[0][3] = Fraction(-1, 10 ** 13)
+    verdict = is_positive(from_matrix(rows, TensorCone(Orthant(2), Orthant(2))))
+    assert verdict.value == "no"
+    assert verdict.certificate == \
+        "image of extremal generator 3 leaves the cone"
+
+
 def test_is_positive_cptp_channel():
     rng = np.random.default_rng(23)
     a = random_kraus_channel(rng, 2)
@@ -201,9 +211,9 @@ def test_from_matrix_rejects_nonsquare():
 
 
 def _transpose_on(a, cone):
-    exact_t = None if a.exact is None else [list(c) for c in zip(*a.exact)]
-    return DynMap(a.matrix.T.copy(), cone, a.unit.copy(), exact=exact_t,
-                  unit_exact=a.unit_exact)
+    if a.exact is None:
+        return from_matrix(a.matrix.T.copy(), cone)
+    return from_matrix([list(c) for c in zip(*a.exact)], cone)
 
 
 def _generator_map(rng, gens, duals):
@@ -217,6 +227,30 @@ def _generator_map(rng, gens, duals):
                 for j in range(d):
                     m[i][j] += w * g[i] * h[j]
     return m
+
+
+def test_adjoint_unit_is_interior_to_its_dual():
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        for name, cone in seeded_polyhedral_cones(rng).items():
+            m = rng.integers(-3, 4, size=(cone.dim, cone.dim)).tolist()
+            for a in (from_matrix(m, cone),
+                      from_matrix(np.array(m, dtype=float), cone)):
+                b = adjoint(a)
+                assert b.cone.interior_dual_contains(b.unit), name
+                if b.unit_exact is not None:
+                    assert b.cone.interior_dual_contains(b.unit_exact), name
+
+
+def test_adjoint_of_rank_one_projection_is_dup():
+    # A = u_K h^T / <h, u_K> fixes u_K, the sum of K's extreme rays, which
+    # is the default unit of the dual cone the adjoint acts on
+    cone = Polyhedral([[1, t, t * t, t ** 3] for t in range(-2, 4)])
+    u_k = [sum(col) for col in zip(*cone.exact_extremal_generators())]
+    h = [sum(col) for col in zip(*cone.exact_dual_generators())]
+    norm = sum(x * y for x, y in zip(h, u_k))
+    a = from_matrix([[x * y / norm for y in h] for x in u_k], cone)
+    assert classify(adjoint(a), RATIONAL_MODE).dup
 
 
 def test_adjoint_reports_match_brute_force_dual():
