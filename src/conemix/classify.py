@@ -31,13 +31,11 @@ import numpy as np
 from .cones import Orthant, Psd, UnsupportedConeOperation, is_classical
 from .linalg import (
     FLOAT_MODE,
-    RATIONAL_MODE,
     MultiplicityPair,
     ScalarMode,
     ZeroSpectralRadiusError,
     chain_pair,
     exact_matvec,
-    exact_power,
 )
 from .maps import DynMap, PositivityVerdict, is_dup, is_positive
 
@@ -235,92 +233,73 @@ def tensor_scc_count(g: Digraph) -> int:
 # stationary pair
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class _Stationary:
-    x0: np.ndarray
-    y0: np.ndarray
-    x0_exact: list | None = None
-    y0_exact: list | None = None
+    """The stationary pair in the map's own arithmetic: object arrays of
+    Fractions when the radius is an exact eigenvalue, floats otherwise."""
 
+    x: np.ndarray
+    y: np.ndarray
+    exact: bool
 
-def _stationary_exact(a: DynMap, r_exact) -> _Stationary:
-    spec = a.spectrum
-    vecs = []
-    for basis, what in ((spec.chain_r[0], "eigenvalue"),
-                        (spec.left_kernel_r, "adjoint eigenvalue")):
-        if len(basis) != 1:
-            raise NotErgodicError(
-                f"{what} {r_exact} has geometric multiplicity {len(basis)}",
-                geometric=len(basis))
-        v = basis[0]
-        vecs.append([-x for x in v] if max(v, key=abs) < 0 else list(v))
-    x0, y0 = vecs
-    cone = a.cone
-    for vec, member in ((x0, cone.contains), (y0, cone.dual_contains)):
-        try:
-            if not member(vec, RATIONAL_MODE):
-                if member([-v for v in vec], RATIONAL_MODE):
-                    vec[:] = [-v for v in vec]
-                else:
-                    raise NotErgodicError(
-                        "no sign of the Perron eigenvector lies in the cone",
-                        x0=np.array([float(v) for v in x0]))
-        except UnsupportedConeOperation:
-            pass
-    pairing = sum(x * y for x, y in zip(x0, y0))
-    if pairing == 0:
-        raise NotErgodicError(
-            "stationary and dual stationary vectors are orthogonal",
-            x0=np.array([float(v) for v in x0]),
-            y0=np.array([float(v) for v in y0]),
-            pairing=0.0, geometric=1)
-    scale = sum(abs(v) for v in x0)
-    x0 = [v / scale for v in x0]
-    pairing = sum(x * y for x, y in zip(x0, y0))
-    y0 = [v / pairing for v in y0]
-    return _Stationary(
-        np.array([float(v) for v in x0]),
-        np.array([float(v) for v in y0]),
-        x0_exact=x0, y0_exact=y0)
+    @property
+    def x0(self) -> np.ndarray:
+        return self.x.astype(float)
 
-
-def _stationary_float(a: DynMap, mode: ScalarMode) -> _Stationary:
-    geom = a.spectrum.peak_pair(mode).geometric
-    if geom != 1:  # 0 exactly when r is not an eigenvalue at all
-        raise NotErgodicError(
-            f"spectral radius has geometric multiplicity {geom}" if geom
-            else "spectral radius is not an eigenvalue", geometric=geom)
-    cone = a.cone
-    vecs = []
-    for v, member in zip(a.spectrum.perron_vectors,
-                         (cone.contains, cone.dual_contains)):
-        try:
-            if not member(v, mode):
-                if member(-v, mode):
-                    v = -v
-                else:
-                    # report the primal vector, as the exact path does
-                    raise NotErgodicError(
-                        "no sign of the Perron eigenvector lies in the cone",
-                        x0=vecs[0] if vecs else v)
-        except UnsupportedConeOperation:
-            pass
-        vecs.append(v)
-    x0, y0 = vecs
-    pairing = float(y0 @ x0)
-    if abs(pairing) <= 1e-9:
-        raise NotErgodicError(
-            "stationary and dual stationary vectors are orthogonal",
-            x0=x0, y0=y0, pairing=pairing, geometric=1)
-    return _Stationary(x0, y0 / pairing)
+    @property
+    def y0(self) -> np.ndarray:
+        return self.y.astype(float)
 
 
 def _stationary(a: DynMap, mode: ScalarMode) -> _Stationary:
+    """l1-normalized Perron vectors of the map and its adjoint (exact at a
+    verified rational radius), each turned so its largest-modulus entry is
+    positive, then signed into the cone (x0) or the dual cone (y0); y0 is
+    scaled to ``<y0, x0> = 1``.  A float pairing up to 1e-9 counts as 0."""
     spec = a.spectrum
     spec.positive_r()
-    if spec.r_exact is not None:
-        return _stationary_exact(a, spec.r_exact)
-    return _stationary_float(a, mode)
+    exact = spec.r_exact is not None
+    if exact:
+        vecs = []
+        for basis, what in ((spec.chain_r[0], "eigenvalue"),
+                            (spec.left_kernel_r, "adjoint eigenvalue")):
+            if len(basis) != 1:
+                raise NotErgodicError(
+                    f"{what} {spec.r_exact} has geometric multiplicity "
+                    f"{len(basis)}", geometric=len(basis))
+            v = np.array(basis[0], dtype=object)
+            vecs.append(v / np.sum(np.abs(v)))
+    else:
+        geom = spec.peak_pair(mode).geometric
+        if geom != 1:  # 0 exactly when r is not an eigenvalue at all
+            raise NotErgodicError(
+                f"spectral radius has geometric multiplicity {geom}" if geom
+                else "spectral radius is not an eigenvalue", geometric=geom)
+        vecs = spec.perron_vectors
+    cone = a.cone
+    pair = []
+    for v, member in zip(vecs, (cone.contains, cone.dual_contains)):
+        if v[np.argmax(np.abs(v))] < 0:
+            v = -v
+        try:
+            if not member(v, mode):
+                if not member(-v, mode):
+                    # report the primal vector whichever one failed
+                    raise NotErgodicError(
+                        "no sign of the Perron eigenvector lies in the cone",
+                        x0=(pair[0] if pair else v).astype(float))
+                v = -v
+        except UnsupportedConeOperation:
+            pass
+        pair.append(v)
+    x0, y0 = pair
+    pairing = y0 @ x0
+    if abs(pairing) <= (0 if exact else 1e-9):
+        raise NotErgodicError(
+            "stationary and dual stationary vectors are orthogonal",
+            x0=x0.astype(float), y0=y0.astype(float),
+            pairing=float(pairing), geometric=1)
+    return _Stationary(x0, y0 / pairing, exact)
 
 
 def stationary_pair(a: DynMap, mode: ScalarMode = FLOAT_MODE):
@@ -346,18 +325,22 @@ class Route:
     value: bool
     exact: bool
     marginal: bool = False
+    skipped: bool = False
 
     def __bool__(self):
         return self.value
 
 
-def _margin_probe(predicate, mode: ScalarMode) -> Route:
-    """Evaluate at the working tolerance and flag 10x sensitivity.
+def _margin_probe(predicate, mode: ScalarMode, exact: bool = False) -> Route:
+    """Evaluate at the working tolerance and, in float, flag 10x
+    sensitivity; an exact predicate is decided once and is never marginal.
 
     Predicates only compare numbers computed beforehand against the
     tolerances of the mode they are given.
     """
     mid = predicate(mode)
+    if exact:
+        return Route(mid, exact=True)
     marginal = predicate(mode.scaled(0.1)) != predicate(mode.scaled(10.0))
     return Route(mid, exact=False, marginal=marginal)
 
@@ -408,7 +391,8 @@ def mixing_routes(a: DynMap, mode: ScalarMode = FLOAT_MODE) -> dict:
 
 
 def _interior_pair_route(a: DynMap, base: bool, mode: ScalarMode) -> Route:
-    """base verdict (ergodic/mixing) AND interior stationary pair."""
+    """base verdict (ergodic/mixing) AND interior stationary pair; skipped
+    when the cone cannot decide interior membership of the pair."""
     if not base:
         return Route(False, a.exact is not None)
     try:
@@ -417,33 +401,25 @@ def _interior_pair_route(a: DynMap, base: bool, mode: ScalarMode) -> Route:
         return Route(False, a.exact is not None)
     cone = a.cone
     try:
-        if st.x0_exact is not None:
-            inside = cone.interior_contains(st.x0_exact, RATIONAL_MODE)
-            dual_inside = cone.interior_dual_contains(st.y0_exact,
-                                                      RATIONAL_MODE)
-            return Route(inside and dual_inside, True)
         return _margin_probe(
-            lambda m: (cone.interior_contains(st.x0, m)
-                       and cone.interior_dual_contains(st.y0, m)), mode)
+            lambda m: (cone.interior_contains(st.x, m)
+                       and cone.interior_dual_contains(st.y, m)),
+            mode, st.exact)
     except UnsupportedConeOperation:
-        return Route(False, False, marginal=True)
+        return Route(False, False, skipped=True)
 
 
 def _binomial_power_route(a: DynMap, gens, mode: ScalarMode) -> Route:
     """(I + A)^(d-1) sends every extremal generator to the interior."""
-    d = a.dim
-    if a.exact is not None:
-        shift = [[v + (1 if i == j else 0) for j, v in enumerate(row)]
-                 for i, row in enumerate(a.exact)]
-        power = exact_power(shift, d - 1)
-        ok = all(a.cone.interior_contains(exact_matvec(power, g),
-                                          RATIONAL_MODE)
-                 for g in gens)
-        return Route(ok, True)
-    power = np.linalg.matrix_power(np.eye(d) + a.matrix, d - 1)
-    images = [power @ np.array([float(v) for v in g]) for g in gens]
+    exact = a.exact is not None
+    dtype = object if exact else float  # Fractions or floats, as the map
+    shift = np.eye(a.dim, dtype=dtype) + np.array(
+        a.exact if exact else a.matrix, dtype=dtype)
+    power = np.linalg.matrix_power(shift, a.dim - 1)
+    images = [power @ g for g in np.array(gens, dtype=dtype)]
     return _margin_probe(
-        lambda m: all(a.cone.interior_contains(x, m) for x in images), mode)
+        lambda m: all(a.cone.interior_contains(x, m) for x in images),
+        mode, exact)
 
 
 def _reachability_route(a: DynMap, gens, dual_gens,
@@ -467,22 +443,19 @@ def _reachability_route(a: DynMap, gens, dual_gens,
                 return Route(False, True)
         return Route(True, True)
 
-    duals_f = np.array([[float(v) for v in h] for h in dual_gens])
-    # per generator: pairings with the dual generators, and the norm, of
-    # each of its first d images
-    traces = []
-    for g in gens:
-        v = np.array([float(x) for x in g])
-        dots, norms = [], []
-        for _ in range(d):
-            dots.append(duals_f @ v)
-            norms.append([max(1e-300, float(np.linalg.norm(v)))])
-            v = a.matrix @ v
-        traces.append((np.array(dots), np.array(norms)))
+    duals_f = np.array(dual_gens, dtype=float)
+    # pairings with the dual generators (step, dual, generator), and the
+    # norm (step, 1, generator), of the first d images of all generators
+    images = np.array(gens, dtype=float).T
+    dots, norms = [], []
+    for _ in range(d):
+        dots.append(duals_f @ images)
+        norms.append(np.maximum(1e-300, np.linalg.norm(images, axis=0)))
+        images = a.matrix @ images
+    dots, norms = np.array(dots), np.array(norms)[:, None, :]
     return _margin_probe(
-        lambda m: all(bool(np.all(np.any(dots > m.eps_interior * norms,
-                                         axis=0)))
-                      for dots, norms in traces), mode)
+        lambda m: bool(np.all(np.any(dots > m.eps_interior * norms,
+                                     axis=0))), mode)
 
 
 def irreducible_routes(a: DynMap, mode: ScalarMode = FLOAT_MODE) -> dict:
@@ -546,6 +519,8 @@ def _resolve(routes: dict) -> Route:
 def _route_flags(family: str, routes: dict) -> list:
     flags = []
     for name, route in routes.items():
+        if route.skipped:
+            flags.append(f"route-skipped:{family}:{name}")
         if route.marginal:
             flags.append(f"tolerance-marginal:{family}:{name}")
     if len({route.value for route in routes.values()}) > 1:

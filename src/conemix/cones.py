@@ -19,9 +19,10 @@ Four cone families are supported:
   :class:`UnsupportedConeOperation`.
 
 A cone's exact extreme rays and exact dual rays are the one source of its
-other facts: ``extremal_generators()`` is their float copy and
-``default_unit()`` the float sum of the dual rays (PSD and tensor cones
-keep their identity and product units).
+other facts: ``extremal_generators()`` is their float copy, and
+``exact_default_unit()`` and ``default_unit()`` the exact and the float sum
+of the dual rays (PSD and tensor cones keep their identity and product
+units; a tensor cone of finite operands has the exact product unit).
 
 Query vectors may be float arrays (tolerance comparisons, scaled by the
 vector norm) or sequences of ints/Fractions (exact comparisons where the
@@ -72,8 +73,9 @@ class InvalidUnitError(ValueError):
 
 
 def _exact_vector(x):
-    """Fraction list if every entry is int/Fraction, else None."""
-    if isinstance(x, np.ndarray):
+    """Fraction list if every entry is int/Fraction, else None; of numpy
+    arrays only object arrays can qualify."""
+    if isinstance(x, np.ndarray) and x.dtype != object:
         return None
     try:
         entries = list(x)
@@ -142,9 +144,14 @@ class Cone:
         """The dual cone, in the same (orthonormal) coordinates."""
         raise NotImplementedError
 
+    def exact_default_unit(self) -> list:
+        """Sum of the dual cone's exact extreme rays, which is strictly
+        positive on every nonzero vector of the cone; raises where no
+        finite list exists."""
+        return [sum(col) for col in zip(*self.exact_dual_generators())]
+
     def default_unit(self) -> np.ndarray:
-        """Float sum of the dual cone's extreme rays, which is strictly
-        positive on every nonzero vector of the cone."""
+        """Float sum of the dual cone's extreme rays."""
         return np.sum([[float(v) for v in y]
                        for y in self.exact_dual_generators()], axis=0)
 
@@ -527,6 +534,11 @@ class TensorCone(Cone):
         if isinstance(self._inner, Orthant):
             return self  # orthant (x) orthant is an orthant: self-dual
         return self._finite().dual()
+
+    def exact_default_unit(self):
+        """Kronecker product of the operands' exact units."""
+        right = self.right.exact_default_unit()
+        return [a * b for a in self.left.exact_default_unit() for b in right]
 
     def default_unit(self):
         return np.kron(self.left.default_unit(), self.right.default_unit())

@@ -145,8 +145,10 @@ def from_matrix(m, cone: Cone, unit=None, mode: ScalarMode = FLOAT_MODE) -> DynM
     unit_exact = None
     if unit is None:
         unit_f = cone.default_unit()
-        if isinstance(cone, (Orthant, Polyhedral)):
-            unit_exact = [sum(col) for col in zip(*cone.exact_dual_generators())]
+        try:
+            unit_exact = cone.exact_default_unit()
+        except UnsupportedConeOperation:
+            pass
     else:
         if not isinstance(unit, np.ndarray) and all(is_rational_entry(v) for v in unit):
             unit_exact = [Fraction(v) for v in unit]

@@ -5,8 +5,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from conemix import Digraph, MultiplicityPair, Polyhedral, TensorCone, \
-    from_kraus, from_stochastic, strongly_connected, tensor_product_digraph
+from conemix import FLOAT_MODE, RATIONAL_MODE, Digraph, MultiplicityPair, \
+    NotErgodicError, Orthant, Polyhedral, TensorCone, \
+    UnsupportedConeOperation, adjoint, from_kraus, from_matrix, \
+    from_stochastic, strongly_connected, tensor_product_digraph
+from conemix.classify import Route, _margin_probe
 
 
 def random_stochastic_exact(rng, d):
@@ -166,3 +169,179 @@ def reference_kron_digraph_connected(pattern):
     g = Digraph(d, tuple(tuple(int(j) for j in np.nonzero(pattern[:, i])[0])
                          for i in range(d)))
     return strongly_connected(tensor_product_digraph(g, g))
+
+
+def generator_map(rng, gens, duals):
+    """I + sum w_ij g_i h_j^T with seeded w_ij in {0, 1, 2}: cone-positive."""
+    d = len(gens[0])
+    m = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
+    for g in gens:
+        for h in duals:
+            w = int(rng.integers(0, 3))
+            for i in range(d):
+                for j in range(d):
+                    m[i][j] += w * g[i] * h[j]
+    return m
+
+
+def route_corpus(seed=91):
+    """Seeded (name, map) corpus for the stationary-pair and route checks:
+    float chains of every kind for d = 3..25 with their scaled transposes;
+    exact chains for d = 3..8 with their transposes and float twins;
+    sign-mixed integer maps for d <= 4, exact and float; and cone-positive
+    and sign-mixed maps on ``seeded_polyhedral_cones`` with their
+    adjoints."""
+    rng = np.random.default_rng(seed)
+    for kind in CHAIN_KINDS:
+        for d in range(3, 26):
+            m = random_chain(rng, d, kind)
+            yield f"float:{kind}:{d}", from_stochastic(m)
+            yield f"float:{kind}:{d}:T", from_matrix(
+                rng.uniform(0.5, 4.0) * m.T, Orthant(d))
+    for d in range(3, 9):
+        for k in range(3):
+            rows = random_stochastic_exact(rng, d)
+            transposed = [list(col) for col in zip(*rows)]
+            yield f"exact:{d}:{k}", from_stochastic(rows)
+            yield f"exact:{d}:{k}:T", from_matrix(transposed, Orthant(d))
+            yield f"twin:{d}:{k}", from_stochastic(to_float_rows(rows))
+            yield f"twin:{d}:{k}:T", from_matrix(to_float_rows(transposed),
+                                                  Orthant(d))
+    for d in range(1, 5):
+        for k in range(40):
+            rows = rng.integers(-3, 4, size=(d, d)).tolist()
+            yield f"signed:{d}:{k}", from_matrix(rows, Orthant(d))
+            yield f"signed:{d}:{k}:float", from_matrix(
+                np.array(rows, dtype=float), Orthant(d))
+    for name, cone in seeded_polyhedral_cones(rng).items():
+        positive = generator_map(rng, cone.exact_extremal_generators(),
+                                 cone.exact_dual_generators())
+        mixed = rng.integers(-3, 4, size=(cone.dim, cone.dim)).tolist()
+        for label, m in (("positive", positive), ("mixed", mixed)):
+            for a in (from_matrix(m, cone),
+                      from_matrix(to_float_rows(m), cone)):
+                kind = "exact" if a.exact is not None else "float"
+                yield f"{name}:{label}:{kind}", a
+                yield f"{name}:{label}:{kind}:adjoint", adjoint(a)
+
+
+# ---------------------------------------------------------------------------
+# the stationary pair and the float reachability route as they were built
+# before the pair had one implementation in the map's own arithmetic
+# ---------------------------------------------------------------------------
+
+def _oriented(vec, member, mode):
+    """vec or -vec, whichever the member test accepts (vec when the cone
+    cannot answer); None if neither."""
+    neg = -vec if isinstance(vec, np.ndarray) else [-v for v in vec]
+    try:
+        if member(vec, mode):
+            return vec
+        return neg if member(neg, mode) else None
+    except UnsupportedConeOperation:
+        return vec
+
+
+def reference_stationary_exact(a):
+    """Exact pair from the kernel bases at the verified rational radius:
+    each vector turned so its largest-modulus entry is positive, then
+    sign-tested in the cone (x0) and the dual cone (y0); x0 is
+    l1-normalized and y0 scaled to <y0, x0> = 1.  Fraction lists."""
+    spec = a.spectrum
+    r = spec.r_exact
+    vecs = []
+    for basis, what in ((spec.chain_r[0], "eigenvalue"),
+                        (spec.left_kernel_r, "adjoint eigenvalue")):
+        if len(basis) != 1:
+            raise NotErgodicError(
+                f"{what} {r} has geometric multiplicity {len(basis)}",
+                geometric=len(basis))
+        v = basis[0]
+        vecs.append([-x for x in v] if max(v, key=abs) < 0 else list(v))
+    out = []
+    for vec, member in zip(vecs, (a.cone.contains, a.cone.dual_contains)):
+        turned = _oriented(vec, member, RATIONAL_MODE)
+        if turned is None:
+            raise NotErgodicError(
+                "no sign of the Perron eigenvector lies in the cone",
+                x0=np.array([float(v) for v in (out[0] if out else vec)]))
+        out.append(turned)
+    x0, y0 = out
+    if sum(x * y for x, y in zip(x0, y0)) == 0:
+        raise NotErgodicError(
+            "stationary and dual stationary vectors are orthogonal",
+            x0=np.array([float(v) for v in x0]),
+            y0=np.array([float(v) for v in y0]), pairing=0.0, geometric=1)
+    scale = sum(abs(v) for v in x0)
+    x0 = [v / scale for v in x0]
+    pairing = sum(x * y for x, y in zip(x0, y0))
+    return x0, [v / pairing for v in y0]
+
+
+def reference_stationary_float(a, mode=FLOAT_MODE):
+    """Float pair from the l1-normalized Perron vectors of the map and its
+    transpose, sign-tested like the exact pair; y0 scaled to
+    <y0, x0> = 1, and |<y0, x0>| <= 1e-9 counts as orthogonal."""
+    geom = a.spectrum.peak_pair(mode).geometric
+    if geom != 1:
+        raise NotErgodicError(
+            f"spectral radius has geometric multiplicity {geom}" if geom
+            else "spectral radius is not an eigenvalue", geometric=geom)
+    out = []
+    for v, member in zip(a.spectrum.perron_vectors,
+                         (a.cone.contains, a.cone.dual_contains)):
+        turned = _oriented(v, member, mode)
+        if turned is None:
+            raise NotErgodicError(
+                "no sign of the Perron eigenvector lies in the cone",
+                x0=out[0] if out else v)
+        out.append(turned)
+    x0, y0 = out
+    pairing = float(y0 @ x0)
+    if abs(pairing) <= 1e-9:
+        raise NotErgodicError(
+            "stationary and dual stationary vectors are orthogonal",
+            x0=x0, y0=y0, pairing=pairing, geometric=1)
+    return x0, y0 / pairing
+
+
+def reference_interior_pair(a, mode=FLOAT_MODE):
+    """The interior-pair route on an ergodic (or mixing) base verdict:
+    exact membership of the exact pair, else a three-tolerance probe of
+    the float pair; a cone that cannot answer gives a marginal False."""
+    a.spectrum.positive_r()
+    cone = a.cone
+    try:
+        if a.spectrum.r_exact is not None:
+            x0, y0 = reference_stationary_exact(a)
+            return Route(cone.interior_contains(x0, RATIONAL_MODE)
+                         and cone.interior_dual_contains(y0, RATIONAL_MODE),
+                         True)
+        x0, y0 = reference_stationary_float(a, mode)
+        return _margin_probe(
+            lambda m: (cone.interior_contains(x0, m)
+                       and cone.interior_dual_contains(y0, m)), mode)
+    except NotErgodicError:
+        return Route(False, a.exact is not None)
+    except UnsupportedConeOperation:
+        return Route(False, False, marginal=True)
+
+
+def reference_reachability_float(a, gens, dual_gens, mode=FLOAT_MODE):
+    """Float reachability with one matrix-vector product per generator per
+    step: every (generator, dual generator) pair must pair strictly
+    positively within d - 1 applications of the map."""
+    duals_f = np.array([[float(v) for v in h] for h in dual_gens])
+    traces = []
+    for g in gens:
+        v = np.array([float(x) for x in g])
+        dots, norms = [], []
+        for _ in range(a.dim):
+            dots.append(duals_f @ v)
+            norms.append([max(1e-300, float(np.linalg.norm(v)))])
+            v = a.matrix @ v
+        traces.append((np.array(dots), np.array(norms)))
+    return _margin_probe(
+        lambda m: all(bool(np.all(np.any(dots > m.eps_interior * norms,
+                                         axis=0)))
+                      for dots, norms in traces), mode)

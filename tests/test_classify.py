@@ -79,13 +79,32 @@ def test_stationary_pair_swap_uniform():
     np.testing.assert_allclose(y0, [1.0, 1.0])
 
 
-def test_float_and_exact_twins_report_the_same_stationary():
+TWIN_STATIONARY = [
     # the dual Perron vector (1, -1) leaves the cone; both report x0
-    m = [[1, Fraction(-1, 2)], [0, Fraction(1, 2)]]
-    exact = classify(from_matrix(m, Orthant(2)))
-    floats = classify(from_matrix(np.array(m, dtype=float), Orthant(2)))
-    np.testing.assert_allclose(exact.stationary, [1.0, 0.0])
-    np.testing.assert_allclose(floats.stationary, exact.stationary, atol=1e-12)
+    ([[1, Fraction(-1, 2)], [0, Fraction(1, 2)]], [1.0, 0.0], None),
+    # no sign of the Perron vector (2, -1) lies in the cone: l1-normalized
+    ([[1, -2], [-1, 0]], [2 / 3, -1 / 3], None),
+    # an orthogonal pair, both l1-normalized
+    ([[0, 0, 0], [Fraction(1, 2), 1, Fraction(-1, 2)], [1, 0, 1]],
+     [0.0, 1.0, 0.0], [0.5, 0.0, 0.5]),
+]
+
+
+def test_float_and_exact_twins_report_the_same_stationary():
+    for m, stationary, dual in TWIN_STATIONARY:
+        cone = Orthant(len(m))
+        exact = classify(from_matrix(m, cone))
+        floats = classify(from_matrix(np.array(m, dtype=float), cone))
+        np.testing.assert_allclose(exact.stationary, stationary, atol=1e-15)
+        np.testing.assert_allclose(floats.stationary, exact.stationary,
+                                   atol=1e-12)
+        if dual is None:
+            assert exact.dual_stationary is floats.dual_stationary is None
+        else:
+            np.testing.assert_allclose(exact.dual_stationary, dual,
+                                       atol=1e-15)
+            np.testing.assert_allclose(floats.dual_stationary,
+                                       exact.dual_stationary, atol=1e-12)
 
 
 def test_stationary_pair_identity_multiplicity():
@@ -423,6 +442,20 @@ def test_quantum_kron_of_mixing_channels_is_mixing():
     rep = classify(big)
     assert rep.mixing
     assert "positivity-unknown" in rep.hypothesis_flags
+
+
+def test_interior_pair_that_cannot_run_is_skipped():
+    # a PSD tensor cone decides interior membership of product vectors
+    # only; the Perron vector of a dense random map is not one
+    a = from_matrix(np.random.default_rng(3).random((16, 16)),
+                    TensorCone(Psd(2), Psd(2)))
+    route = irreducible_routes(a)["interior-pair"]
+    assert (route.value, route.exact, route.marginal, route.skipped) == \
+        (False, False, False, True)
+    flags = classify(a).hypothesis_flags
+    for family in ("irreducible", "primitive"):
+        assert f"route-skipped:{family}:interior-pair" in flags
+        assert f"tolerance-marginal:{family}:interior-pair" not in flags
 
 
 def test_power_interior_probe_classical():

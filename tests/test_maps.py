@@ -13,6 +13,7 @@ from conemix import (
     Polyhedral,
     Psd,
     TensorCone,
+    UnsupportedConeOperation,
     adjoint,
     choi_matrix,
     classify,
@@ -23,7 +24,7 @@ from conemix import (
     is_positive,
 )
 from conemix.cli import report_to_dict
-from helpers import random_hermitian, random_kraus_channel, \
+from helpers import generator_map, random_hermitian, random_kraus_channel, \
     random_stochastic_map, seeded_polyhedral_cones
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -156,6 +157,45 @@ def test_is_positive_tensor_is_exact_on_rational_maps():
         "image of extremal generator 3 leaves the cone"
 
 
+def test_tensor_cones_of_finite_operands_carry_an_exact_unit():
+    # the rational identity with one entry nudged by 1e-12 fixes no unit,
+    # decided exactly on the orthant and on the same orthant as a tensor
+    nudged = [[Fraction(int(i == j)) for j in range(4)] for i in range(4)]
+    nudged[0][0] += Fraction(1, 10 ** 12)
+    for cone in (Orthant(4), TensorCone(Orthant(2), Orthant(2))):
+        a = from_matrix(nudged, cone)
+        assert a.unit_exact == [1, 1, 1, 1]
+        assert not is_dup(a), cone
+    # wedge (x) wedge: the exact product of the operands' exact units
+    wedge = Polyhedral([[1, 0], [1, 1]])
+    cone = TensorCone(wedge, wedge)
+    assert wedge.exact_default_unit() == [1, 0]
+    assert cone.exact_default_unit() == [1, 0, 0, 0]
+    np.testing.assert_array_equal(cone.default_unit(), [1.0, 0.0, 0.0, 0.0])
+    a = from_matrix(np.eye(4).astype(int).tolist(), cone)
+    assert a.unit_exact == [1, 0, 0, 0]
+    assert is_dup(a)
+
+
+def test_exact_default_unit_is_refused_without_finite_rays():
+    for cone in (Psd(2), TensorCone(Psd(2), Psd(2)),
+                 TensorCone(Orthant(2), Psd(2))):
+        with pytest.raises(UnsupportedConeOperation):
+            cone.exact_default_unit()
+        assert from_matrix(np.eye(cone.dim), cone).unit_exact is None
+
+
+def test_float_default_units_are_the_exact_units():
+    rng = np.random.default_rng(8)
+    cones = list(seeded_polyhedral_cones(rng).values())
+    cones += [Orthant(3), TensorCone(Orthant(2), Orthant(3))]
+    for cone in cones:
+        exact = cone.exact_default_unit()
+        assert all(v.denominator == 1 for v in map(Fraction, exact))
+        np.testing.assert_array_equal(cone.default_unit(),
+                                      [float(v) for v in exact])
+
+
 def test_is_positive_cptp_channel():
     rng = np.random.default_rng(23)
     a = random_kraus_channel(rng, 2)
@@ -216,19 +256,6 @@ def _transpose_on(a, cone):
     return from_matrix([list(c) for c in zip(*a.exact)], cone)
 
 
-def _generator_map(rng, gens, duals):
-    """I + sum w_ij g_i h_j^T with seeded w_ij in {0, 1, 2}: cone-positive."""
-    d = len(gens[0])
-    m = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
-    for g in gens:
-        for h in duals:
-            w = int(rng.integers(0, 3))
-            for i in range(d):
-                for j in range(d):
-                    m[i][j] += w * g[i] * h[j]
-    return m
-
-
 def test_adjoint_unit_is_interior_to_its_dual():
     for seed in range(3):
         rng = np.random.default_rng(seed)
@@ -259,7 +286,7 @@ def test_adjoint_reports_match_brute_force_dual():
         # the reference: K* and K** with their dual rays enumerated anew
         dual = Polyhedral(cone.exact_dual_generators())
         double = Polyhedral(dual.exact_dual_generators())
-        positive = _generator_map(rng, cone.exact_extremal_generators(),
+        positive = generator_map(rng, cone.exact_extremal_generators(),
                                   cone.exact_dual_generators())
         mixed = rng.integers(-3, 4, size=(cone.dim, cone.dim)).tolist()
         for m in (positive, mixed):

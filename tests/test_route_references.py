@@ -1,0 +1,108 @@
+"""The stationary pair and the generator routes against their references.
+
+``_stationary`` builds the pair once, in the map's own arithmetic, and the
+interior-pair, binomial-power and reachability routes all decide through
+``_margin_probe``.  The references in ``tests/helpers.py`` keep the
+earlier separate exact and float builds of the pair and the float
+reachability route with one matrix-vector product per generator per step.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+
+from conemix import FLOAT_MODE, NotErgodicError, UnsupportedConeOperation, \
+    ZeroSpectralRadiusError
+from conemix.classify import _interior_pair_route, _reachability_route, \
+    _stationary
+from helpers import reference_interior_pair, reference_reachability_float, \
+    reference_stationary_exact, reference_stationary_float, route_corpus
+
+NO_SIGN = "no sign of the Perron eigenvector lies in the cone"
+
+
+def _pair_or_error(build):
+    try:
+        return build(), None
+    except NotErgodicError as err:
+        return None, err
+
+
+def _l1(v):
+    v = np.asarray(v, dtype=float)
+    return v / np.sum(np.abs(v))
+
+
+def test_stationary_pair_matches_reference():
+    checked = no_sign = 0
+    for name, a in route_corpus():
+        try:
+            a.spectrum.positive_r()
+        except ZeroSpectralRadiusError:
+            continue
+        exact = a.spectrum.r_exact is not None
+        ours, err = _pair_or_error(lambda: _stationary(a, FLOAT_MODE))
+        ref, ref_err = _pair_or_error(
+            (lambda: reference_stationary_exact(a)) if exact
+            else (lambda: reference_stationary_float(a, FLOAT_MODE)))
+        assert (err is None) == (ref_err is None), name
+        checked += 1
+        if err is None:
+            assert ours.exact == exact, name
+            if exact:
+                assert list(ours.x) == ref[0], name
+                assert list(ours.y) == ref[1], name
+                assert all(isinstance(v, Fraction) for v in ours.x), name
+            else:
+                assert np.array_equal(ours.x, ref[0]), name
+                assert np.array_equal(ours.y, ref[1]), name
+            continue
+        assert (err.reason, err.geometric) == \
+            (ref_err.reason, ref_err.geometric), name
+        for mine, theirs in ((err.x0, ref_err.x0), (err.y0, ref_err.y0)):
+            assert (mine is None) == (theirs is None), name
+            if mine is None:
+                continue
+            if exact:
+                # the exact pair is l1-normalized like the float one
+                np.testing.assert_allclose(mine, _l1(theirs), err_msg=name)
+                no_sign += err.reason == NO_SIGN
+            else:
+                assert np.array_equal(mine, theirs), name
+        assert err.pairing == ref_err.pairing, name
+    assert checked >= 600
+    assert no_sign >= 1
+
+
+def test_interior_pair_route_matches_reference():
+    checked = 0
+    for name, a in route_corpus():
+        try:
+            a.spectrum.positive_r()
+        except ZeroSpectralRadiusError:
+            continue
+        ours = _interior_pair_route(a, True, FLOAT_MODE)
+        ref = reference_interior_pair(a, FLOAT_MODE)
+        assert (ours.value, ours.exact, ours.marginal) == \
+            (ref.value, ref.exact, ref.marginal), name
+        assert not ours.skipped, name
+        checked += 1
+    assert checked >= 600
+
+
+def test_float_reachability_matches_reference():
+    checked = 0
+    for name, a in route_corpus():
+        if a.exact is not None:
+            continue
+        try:
+            gens = a.cone.exact_extremal_generators()
+            duals = a.cone.exact_dual_generators()
+        except UnsupportedConeOperation:
+            continue
+        ours = _reachability_route(a, gens, duals, FLOAT_MODE)
+        ref = reference_reachability_float(a, gens, duals, FLOAT_MODE)
+        assert (ours.value, ours.exact, ours.marginal) == \
+            (ref.value, ref.exact, ref.marginal), name
+        checked += 1
+    assert checked >= 300
