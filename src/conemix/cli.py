@@ -153,8 +153,12 @@ def _parse_cone(spec, where="cone") -> Cone:
     if kind == "tensor":
         if "left" not in spec or "right" not in spec:
             raise SchemaError(f"{where}: tensor requires \"left\" and \"right\"")
-        return TensorCone(_parse_cone(spec["left"], f"{where}.left"),
-                          _parse_cone(spec["right"], f"{where}.right"))
+        left = _parse_cone(spec["left"], f"{where}.left")
+        right = _parse_cone(spec["right"], f"{where}.right")
+        try:
+            return TensorCone(left, right)
+        except ValueError as err:
+            raise SchemaError(f"{where}: {err}")
     raise SchemaError(f"{where}: unknown cone type {kind!r}")
 
 

@@ -16,7 +16,12 @@ Four cone families are supported:
   operands, whose queries go to one inner orthant or polyhedral cone; for
   PSD operands only product vectors can be tested (general separability
   testing is intractable) and other queries raise
-  :class:`UnsupportedConeOperation`.
+  :class:`UnsupportedConeOperation`.  When either operand is simplicial
+  (``dim`` extreme rays) the minimal and maximal tensor products coincide
+  (Aubrun, Lami, Palazuelos & Plavala, "Entangleability of cones", GAFA
+  2021): the inner cone's extreme rays and dual rays are the products of
+  the operands' ones, and no enumeration runs.  A polyhedral inner cone is
+  capped at ``TensorCone.MAX_POLYHEDRAL_DIM``.
 
 A cone's exact extreme rays and exact dual rays are the one source of its
 other facts: ``extremal_generators()`` is their float copy, and
@@ -329,6 +334,16 @@ class Polyhedral(Cone):
         self._set_rays(gens, self._enumerate_dual_rays(gens, d))
         self._extremal = self._minimal_generators()
 
+    @classmethod
+    def _from_rays(cls, extremal, dual_rays):
+        """The cone with these exact extreme rays and primitive dual rays,
+        which the caller vouches for: no enumeration runs."""
+        cone = object.__new__(cls)
+        cone.dim = len(extremal[0])
+        cone._set_rays(extremal, dual_rays)
+        cone._extremal = extremal
+        return cone
+
     def _set_rays(self, gens, dual_rays):
         """Keep the generators and dual rays with their unit-row float
         copies; dual rays that do not span mean the cone holds a line."""
@@ -428,15 +443,9 @@ class Polyhedral(Cone):
         Each dual ray is a facet normal, hence an extreme ray of the dual,
         and the dual's own dual rays are this cone's extreme rays.
         """
-        dual = object.__new__(Polyhedral)
-        dual.dim = self.dim
-        gens = self.exact_dual_generators()
-        if exact_rank(gens) != self.dim:
-            raise ValueError("dual rays do not span the ambient space")
-        dual._set_rays(gens, [[Fraction(v) for v in _primitive(g)]
-                              for g in self._extremal])
-        dual._extremal = gens
-        return dual
+        return Polyhedral._from_rays(
+            self.exact_dual_generators(),
+            [[Fraction(v) for v in _primitive(g)] for g in self._extremal])
 
 
 def _unit_rows(rows):
@@ -451,8 +460,16 @@ class TensorCone(Cone):
     Vector index convention matches the Kronecker product: component
     ``i * right.dim + j`` multiplies (left basis i) x (right basis j).
     Finite operands give an inner orthant or polyhedral cone that answers
-    every query; PSD operands leave it None.
+    every query; PSD operands leave it None.  Its extreme rays are the
+    products of the operands' extreme rays, left ray major; with a
+    simplicial operand so are its dual rays (see the module docstring),
+    otherwise they are enumerated.
     """
+
+    #: a polyhedral inner cone of a larger dimension is refused before any
+    #: product is formed: the exact rank that checks it is pointed grows
+    #: with the cube of the dimension
+    MAX_POLYHEDRAL_DIM = 150
 
     def __init__(self, left: Cone, right: Cone):
         self.left = left
@@ -464,12 +481,27 @@ class TensorCone(Cone):
             self._inner = Orthant(self.dim)
             return
         try:
-            pairs = product(left.exact_extremal_generators(),
-                            right.exact_extremal_generators())
+            # a classical operand lists dim^2 entries, so only the other
+            # one is asked whether the product is finite before the cap
+            for op in (left, right):
+                if not is_classical(op):
+                    op.exact_extremal_generators()
         except UnsupportedConeOperation:
             return  # PSD operands: no finite generator list
-        self._inner = Polyhedral([[a * b for a in g for b in h]
-                                  for g, h in pairs])
+        if self.dim > self.MAX_POLYHEDRAL_DIM:
+            raise ValueError(
+                f"tensor cone of dimension {self.dim} exceeds the cap "
+                f"{self.MAX_POLYHEDRAL_DIM} for a polyhedral tensor cone")
+        gens = (left.exact_extremal_generators(),
+                right.exact_extremal_generators())
+        rays = [[a * b for a in g for b in h] for g, h in product(*gens)]
+        if len(gens[0]) == left.dim or len(gens[1]) == right.dim:
+            duals = product(left.exact_dual_generators(),
+                            right.exact_dual_generators())
+            self._inner = Polyhedral._from_rays(
+                rays, [[a * b for a in y for b in z] for y, z in duals])
+        else:
+            self._inner = Polyhedral(rays)
 
     def __repr__(self):
         return f"TensorCone({self.left!r}, {self.right!r})"

@@ -2,6 +2,7 @@
 and reference implementations that the fast routes are checked against."""
 
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 
@@ -101,6 +102,41 @@ def seeded_polyhedral_cones(rng):
     cones["triangle(x)square"] = TensorCone(Polyhedral(triangle),
                                             Polyhedral(square))
     return cones
+
+
+def scaled_cone(rng, gens):
+    """Polyhedral cone of the generators, each scaled by a seeded 1..3."""
+    scales = (int(k) for k in rng.integers(1, 4, size=len(gens)))
+    return Polyhedral([[k * v for v in g] for k, g in zip(scales, gens)])
+
+
+def seeded_simplicial_pairs(rng):
+    """(name, left, right) for every simplicial operand (triangle, wedge,
+    an orthant of seeded size 2 or 3) with every partner (triangle,
+    square, wedge, a cyclic-polytope cone with d = 4 and 5 generators),
+    in both orders."""
+    partners = {
+        "triangle": lambda: scaled_cone(rng, [[1, 0, 0], [1, 1, 0],
+                                              [1, 0, 1]]),
+        "square": lambda: scaled_cone(rng, [[1, 1, 1], [1, -1, 1],
+                                            [1, -1, -1], [1, 1, -1]]),
+        "wedge": lambda: scaled_cone(rng, [[1, 1], [1, -1]]),
+        "cyclic-4": lambda: Polyhedral(cyclic_polytope_generators(rng, 4, 5)),
+    }
+    simplicial = {"triangle": partners["triangle"],
+                  "wedge": partners["wedge"],
+                  "orthant": lambda: Orthant(int(rng.integers(2, 4)))}
+    for s, make_s in simplicial.items():
+        for p, make_p in partners.items():
+            yield f"{s}(x){p}", make_s(), make_p()
+            yield f"{p}(x){s}", make_p(), make_s()
+
+
+def reference_tensor_inner(left, right):
+    """The inner cone of ``TensorCone(left, right)`` by brute force: dual-ray
+    enumeration over the products of the operands' extreme rays."""
+    return Polyhedral([[a * b for a in g for b in h] for g, h in product(
+        left.exact_extremal_generators(), right.exact_extremal_generators())])
 
 
 CHAIN_KINDS = ("random", "periodic", "transient", "transient-periodic",

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -314,6 +315,10 @@ DENSE_NILPOTENT = {"cone": {"type": "orthant", "dim": 6},
                        [2, -14, 9, -6, 13, 1], [2, -7, 2, 1, 0, -2],
                        [0, 4, -5, 6, -9, -2], [3, -10, 7, -6, 6, -2]]}}
 IDENTITY_CHAIN = {"map": {"type": "stochastic", "data": [[1, 0], [0, 1]]}}
+# its 25 product rays in dimension 9 give more (d-1)-subsets than the
+# dual-ray enumeration takes
+PENTAGON = {"type": "polyhedral", "generators": [
+    [2, 2, 0], [2, 0, 2], [2, -2, 1], [2, -2, -1], [2, 0, -2]]}
 
 
 @pytest.mark.parametrize("doc, command", [
@@ -338,11 +343,13 @@ IDENTITY_CHAIN = {"map": {"type": "stochastic", "data": [[1, 0], [0, 1]]}}
       "map": {"type": "matrix", "data": [[1]]}}, "classify"),
     ({"cone": {"type": "psd", "hdim": 10 ** 6},
       "map": {"type": "matrix", "data": [[1]]}}, "classify"),
+    ({"cone": {"type": "tensor", "left": PENTAGON, "right": PENTAGON},
+      "map": {"type": "matrix", "data": [[1]]}}, "classify"),
 ], ids=["orthant-dim-x", "psd-hdim-0", "tolerance-abc", "tolerance-negative",
         "simulate-nilpotent", "simulate-dense-nilpotent", "orthant-dim-2.7",
         "orthant-dim-true", "psd-hdim-1.5", "simulate-nilpotent-float",
         "simulate-dense-nilpotent-float", "orthant-dim-1e12",
-        "psd-hdim-1e6"])
+        "psd-hdim-1e6", "pentagon(x)pentagon"])
 def test_malformed_input_exits_2(tmp_path, capsys, doc, command):
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(doc))
@@ -353,6 +360,21 @@ def test_malformed_input_exits_2(tmp_path, capsys, doc, command):
     assert code == 2
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_oversized_polyhedral_tensor_exits_2_at_once(tmp_path, capsys):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({
+        "cone": {"type": "tensor",
+                 "left": {"type": "polyhedral",
+                          "generators": [[1, 0, 0], [1, 1, 0], [1, 0, 1]]},
+                 "right": {"type": "orthant", "dim": 1000}},
+        "map": {"type": "matrix", "data": [[1]]}}))
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "classify", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert err.startswith("error: cone: tensor cone of dimension 3000")
 
 
 def test_import_leaves_scipy_optimize_unloaded():

@@ -4,8 +4,10 @@ from functools import cache
 import numpy as np
 import pytest
 
+import conemix.cones
 from conemix import (
     DimensionMismatchError,
+    FLOAT_MODE,
     HermBasis,
     InvalidUnitError,
     Orthant,
@@ -14,10 +16,15 @@ from conemix import (
     RATIONAL_MODE,
     TensorCone,
     UnsupportedConeOperation,
+    adjoint,
+    classify,
+    from_matrix,
     validate_unit,
 )
+from conemix.cli import report_to_dict
 from conemix.cones import _primitive
-from helpers import seeded_polyhedral_cones
+from helpers import reference_tensor_inner, route_corpus, \
+    seeded_polyhedral_cones, seeded_simplicial_pairs
 
 
 def test_orthant_membership():
@@ -301,3 +308,91 @@ def test_psd_operands_have_no_finite_generators():
             cone.exact_dual_generators()
     with pytest.raises(UnsupportedConeOperation):
         TensorCone(Psd(2), Orthant(2)).dual()
+
+
+def test_simplicial_tensor_cone_matches_enumeration():
+    names = set()
+    for name, left, right in seeded_simplicial_pairs(
+            np.random.default_rng(12)):
+        names.add(name)
+        cone = TensorCone(left, right)
+        brute = reference_tensor_inner(left, right)
+        assert cone.exact_extremal_generators() == \
+            brute.exact_extremal_generators(), name
+        for ours, ref in ((cone, brute), (cone.dual(), brute.dual())):
+            for rays in ("exact_extremal_generators",
+                         "exact_dual_generators"):
+                mine, theirs = getattr(ours, rays)(), getattr(ref, rays)()
+                assert _rays(mine) == _rays(theirs), (name, rays)
+                assert len(mine) == len(theirs), (name, rays)
+        assert cone.exact_default_unit() == brute.exact_default_unit(), name
+        assert cone.default_unit().tolist() == \
+            brute.default_unit().tolist(), name
+    assert {"triangle(x)cyclic-4", "cyclic-4(x)orthant",
+            "square(x)wedge"} <= names
+    assert len(names) == 20
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    calls = []
+    kernel = conemix.cones.exact_kernel_basis
+
+    def counting(m):
+        calls.append(len(m))
+        return kernel(m)
+
+    monkeypatch.setattr(conemix.cones, "exact_kernel_basis", counting)
+    return calls
+
+
+def test_simplicial_tensor_cones_enumerate_nothing(kernel_calls):
+    triangle = Polyhedral([[1, 0, 0], [1, 1, 0], [1, 0, 1]])
+    square = Polyhedral([[1, 1, 1], [1, -1, 1], [1, -1, -1], [1, 1, -1]])
+    wedge = Polyhedral([[1, 1], [1, -1]])
+    kernel_calls.clear()  # the operands enumerate their own dual rays
+    for left, right in ((triangle, square), (wedge, wedge)):
+        TensorCone(left, right).dual()
+    assert kernel_calls == []
+    # the brute-force build of the same cone does enumerate, so the count
+    # above is not vacuous
+    reference_tensor_inner(wedge, wedge)
+    assert kernel_calls
+
+
+def test_only_non_simplicial_pairs_enumerate(monkeypatch):
+    triangle = Polyhedral([[1, 0, 0], [1, 1, 0], [1, 0, 1]])
+    square = Polyhedral([[1, 1, 1], [1, -1, 1], [1, -1, -1], [1, 1, -1]])
+    monkeypatch.setattr(Polyhedral, "MAX_SUBSETS", 0)
+    TensorCone(triangle, square)
+    with pytest.raises(ValueError, match="dual-ray enumeration"):
+        TensorCone(square, square)
+
+
+def test_simplicial_tensor_reports_match_enumeration():
+    checked, brute = 0, None
+    for name, a in route_corpus():
+        if not name.startswith("triangle(x)square") or \
+                name.endswith(":adjoint"):
+            continue
+        brute = brute or reference_tensor_inner(a.cone.left, a.cone.right)
+        twin = from_matrix(a.exact if a.exact is not None else a.matrix,
+                           brute)
+        for ours, ref in ((a, twin), (adjoint(a), adjoint(twin))):
+            assert report_to_dict(classify(ours), FLOAT_MODE) == \
+                report_to_dict(classify(ref), FLOAT_MODE), name
+            checked += 1
+    assert checked == 8
+
+
+def test_polyhedral_tensor_cones_have_a_size_cap():
+    triangle = Polyhedral([[1, 0, 0], [1, 1, 0], [1, 0, 1]])
+    cap = TensorCone.MAX_POLYHEDRAL_DIM
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        TensorCone(triangle, Orthant(cap // 3 + 1))
+    # refused before the classical operand lists its 10^12 ray entries
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        TensorCone(TensorCone(Orthant(1000), Orthant(1000)), triangle)
+    # orthant (x) orthant and PSD operands form no polyhedral inner cone
+    assert TensorCone(Orthant(cap), Orthant(cap)).dim == cap * cap
+    assert TensorCone(Psd(2), Orthant(cap)).dim == 4 * cap
