@@ -699,7 +699,7 @@ def classify(a: DynMap, mode: ScalarMode = FLOAT_MODE) -> ClassificationReport:
         stationary, dual_stationary = st.x0, st.y0
         pairing = 1.0
         try:
-            if not a.cone.interior_dual_contains(st.y0, mode):
+            if not a.cone.interior_dual_contains(st.y, mode):
                 flags.append("dual-stationary-on-boundary")
         except UnsupportedConeOperation:
             flags.append("dual-interior-undecidable")

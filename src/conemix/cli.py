@@ -13,8 +13,10 @@ Problem files are JSON documents with a ``cone`` and a ``map``:
   (``"rational"``/``"float"``), and ``"tolerances"``
   (``eps_rank``/``eps_cluster``/``eps_interior``).
 
-Rationals are written as strings like ``"1/2"``; the mode defaults to
-rational exactly when no float literal appears anywhere.  The environment
+Every numeric array (map data, Kraus ``re``/``im``, generators, unit) is
+read by one parser.  Rationals are written as strings like ``"1/2"``; the
+mode defaults to rational exactly when no float literal appears in the map
+or the unit, and a number a float cannot hold is refused.  The environment
 variable ``CONEMIX_TOL`` overrides all three tolerances at once.
 
 Exit codes: 0 success; 2 schema or input errors, and simulations of a map
@@ -84,44 +86,55 @@ class SchemaError(ValueError):
 # ---------------------------------------------------------------------------
 
 def _parse_scalar(value, where, rational):
+    """A number as a Fraction in rational mode, else as a float; the one
+    place that refuses a number a float cannot hold (exact maps keep a
+    float copy too)."""
     if isinstance(value, bool):
         raise SchemaError(f"{where}: booleans are not numbers")
-    if isinstance(value, int):
-        return Fraction(value) if rational else float(value)
-    if isinstance(value, str):
-        try:
-            frac = Fraction(value)
-        except (ValueError, ZeroDivisionError) as err:
-            raise SchemaError(f"{where}: bad rational literal {value!r}: {err}")
-        return frac if rational else float(frac)
     if isinstance(value, float):
         if rational:
             raise SchemaError(
                 f"{where}: float literal {value!r} in rational mode; write "
                 "it as a string like \"1/2\"")
         return value
-    raise SchemaError(f"{where}: expected a number, got {type(value).__name__}")
+    if isinstance(value, str):
+        try:
+            value = Fraction(value)
+        except (ValueError, ZeroDivisionError) as err:
+            raise SchemaError(f"{where}: bad rational literal {value!r}: {err}")
+    elif not isinstance(value, int):
+        raise SchemaError(
+            f"{where}: expected a number, got {type(value).__name__}")
+    try:
+        approx = float(value)
+    except OverflowError:
+        raise SchemaError(f"{where}: number too large for a float")
+    return Fraction(value) if rational else approx
 
 
 def _has_float(node) -> bool:
-    if isinstance(node, float):
-        return True
-    if isinstance(node, list):
-        return any(_has_float(v) for v in node)
-    if isinstance(node, dict):
-        return any(_has_float(v) for v in node.values())
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, float):
+            return True
+        if isinstance(node, dict):
+            stack.extend(node.values())
+        elif isinstance(node, list):
+            stack.extend(node)
     return False
 
 
-def _parse_matrix(data, where, rational):
-    if not isinstance(data, list) or not data or \
-            not all(isinstance(row, list) for row in data):
-        raise SchemaError(f"{where}: expected a list of rows")
-    rows = [[_parse_scalar(v, f"{where}[{i}][{j}]", rational)
-             for j, v in enumerate(row)] for i, row in enumerate(data)]
-    if rational:
-        return rows
-    return np.array(rows, dtype=float)
+def _parse_array(data, where, rational, ndim=2):
+    """A nonempty vector (``ndim`` 1) or matrix (``ndim`` 2) of numbers:
+    (nested) lists of Fractions in rational mode, else a float array."""
+    if not isinstance(data, list) or not data:
+        raise SchemaError(f"{where}: expected a nonempty list of "
+                          + ("rows" if ndim == 2 else "numbers"))
+    parsed = [_parse_array(v, f"{where}[{i}]", rational, 1) if ndim == 2
+              else _parse_scalar(v, f"{where}[{i}]", rational)
+              for i, v in enumerate(data)]
+    return parsed if rational else np.array(parsed, dtype=float)
 
 
 def _parse_cone(spec, where="cone") -> Cone:
@@ -141,13 +154,10 @@ def _parse_cone(spec, where="cone") -> Cone:
         except ValueError as err:
             raise SchemaError(f"{where}.{key}: {err}")
     if kind == "polyhedral":
-        gens = spec.get("generators")
-        if not isinstance(gens, list) or not gens:
-            raise SchemaError(f"{where}: polyhedral requires \"generators\"")
-        exact = [[_parse_scalar(v, f"{where}.generators[{i}][{j}]", True)
-                  for j, v in enumerate(g)] for i, g in enumerate(gens)]
+        gens = _parse_array(spec.get("generators"), f"{where}.generators",
+                            True)
         try:
-            return Polyhedral(exact)
+            return Polyhedral(gens)
         except ValueError as err:
             raise SchemaError(f"{where}: {err}")
     if kind == "tensor":
@@ -166,10 +176,9 @@ def _parse_kraus_op(op, where):
     if not isinstance(op, dict) or "re" not in op:
         raise SchemaError(f"{where}: expected an object with \"re\" (and "
                           "optionally \"im\")")
-    re = np.asarray(_parse_matrix(op["re"], f"{where}.re", False), dtype=float)
+    re = _parse_array(op["re"], f"{where}.re", False)
     if "im" in op:
-        im = np.asarray(_parse_matrix(op["im"], f"{where}.im", False),
-                        dtype=float)
+        im = _parse_array(op["im"], f"{where}.im", False)
         if im.shape != re.shape:
             raise SchemaError(f"{where}: re/im shapes differ")
     else:
@@ -215,6 +224,9 @@ def load_problem(path, forced_mode=None):
         raise SchemaError(
             f"{path}: invalid JSON at line {err.lineno}, column {err.colno}: "
             f"{err.msg}")
+    except (ValueError, RecursionError) as err:
+        # an integer past Python's digit limit, or nesting past its stack
+        raise SchemaError(f"{path}: unreadable JSON: {err}")
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: top level must be an object")
     if "map" not in doc:
@@ -250,8 +262,8 @@ def load_problem(path, forced_mode=None):
             if unit is not None:
                 raise SchemaError("map: stochastic maps fix the all-ones "
                                   "unit; remove \"unit\"")
-            dyn = from_stochastic(_parse_matrix(map_spec["data"], "map.data",
-                                                rational))
+            dyn = from_stochastic(_parse_array(map_spec["data"], "map.data",
+                                               rational))
             if cone is not None and cone != dyn.cone:
                 raise SchemaError("cone: stochastic maps live on the orthant "
                                   "of matching dimension")
@@ -273,14 +285,10 @@ def load_problem(path, forced_mode=None):
                 raise SchemaError("map: matrix requires \"data\"")
             if cone is None:
                 raise SchemaError("cone: required for raw matrix maps")
-            data = _parse_matrix(map_spec["data"], "map.data", rational)
-            unit_vec = None
+            data = _parse_array(map_spec["data"], "map.data", rational)
             if unit is not None:
-                unit_vec = [_parse_scalar(v, f"unit[{i}]", rational)
-                            for i, v in enumerate(unit)]
-                if not rational:
-                    unit_vec = np.array(unit_vec, dtype=float)
-            dyn = from_matrix(data, cone, unit_vec, mode)
+                unit = _parse_array(unit, "unit", rational, ndim=1)
+            dyn = from_matrix(data, cone, unit, mode)
         else:
             raise SchemaError(f"map: unknown type {kind!r}")
     except (NegativeEntryError, ColumnSumViolationError,

@@ -29,9 +29,10 @@ other facts: ``extremal_generators()`` is their float copy, and
 of the dual rays (PSD and tensor cones keep their identity and product
 units; a tensor cone of finite operands has the exact product unit).
 
-Query vectors may be float arrays (tolerance comparisons, scaled by the
-vector norm) or sequences of ints/Fractions (exact comparisons where the
-cone has exact data).
+Query vectors that :func:`~conemix.linalg.as_exact` finds exact (ints,
+Fractions and rational strings; object arrays of them) are compared
+exactly where the cone has exact data; any other vector, a float array
+say, is compared within a tolerance scaled by its norm.
 """
 
 from __future__ import annotations
@@ -45,9 +46,9 @@ import numpy as np
 from .linalg import (
     FLOAT_MODE,
     ScalarMode,
+    as_exact,
     exact_kernel_basis,
     exact_rank,
-    is_rational_entry,
 )
 
 __all__ = [
@@ -75,20 +76,6 @@ class DimensionMismatchError(ValueError):
 
 class InvalidUnitError(ValueError):
     """The proposed unit element is not interior to the dual cone."""
-
-
-def _exact_vector(x):
-    """Fraction list if every entry is int/Fraction, else None; of numpy
-    arrays only object arrays can qualify."""
-    if isinstance(x, np.ndarray) and x.dtype != object:
-        return None
-    try:
-        entries = list(x)
-    except TypeError:
-        return None
-    if all(is_rational_entry(v) for v in entries):
-        return [Fraction(v) for v in entries]
-    return None
 
 
 def _primitive(vec):
@@ -187,7 +174,7 @@ class Orthant(Cone):
 
     def contains(self, x, mode=FLOAT_MODE):
         self._check_dim(x)
-        exact = _exact_vector(x)
+        exact = as_exact(x)
         if exact is not None:
             return all(v >= 0 for v in exact)
         xf = np.asarray(x, dtype=float)
@@ -195,7 +182,7 @@ class Orthant(Cone):
 
     def interior_contains(self, x, mode=FLOAT_MODE):
         self._check_dim(x)
-        exact = _exact_vector(x)
+        exact = as_exact(x)
         if exact is not None:
             return all(v > 0 for v in exact)
         xf = np.asarray(x, dtype=float)
@@ -410,7 +397,7 @@ class Polyhedral(Cone):
 
     def _dots(self, rows_exact, rows_float, x, mode, strict):
         self._check_dim(x)
-        exact = _exact_vector(x)
+        exact = as_exact(x)
         if exact is not None:
             dots = (_dot_exact(r, exact) for r in rows_exact)
             return all(v > 0 for v in dots) if strict else all(v >= 0 for v in dots)

@@ -1,8 +1,10 @@
 """Dense matrix kernel: one exact-rational path and one float spectrum.
 
-The exact path works on lists of lists of ``fractions.Fraction``: one
-fraction-free Gauss-Jordan elimination over cleared-denominator integers
-gives ranks, kernel bases and, through kernel chains, multiplicities.
+The exact path works on lists of lists of ``fractions.Fraction``, and
+:func:`as_exact` is the one test that admits a value from outside the
+program to it.  One fraction-free Gauss-Jordan elimination over
+cleared-denominator integers gives ranks, kernel bases and, through
+kernel chains, multiplicities.
 :class:`Spectrum` owns every spectral fact of one map, float (eigenvalues,
 singular values, peak counts) and exact (kernel chains at the radius),
 and decides when the radius counts as zero.
@@ -37,7 +39,6 @@ __all__ = [
     "exact_rank",
     "exact_identity",
     "exact_matmul",
-    "is_rational_entry",
     "chain_pair",
     "Spectrum",
 ]
@@ -96,25 +97,41 @@ RADIUS_FLOOR = 1e-9
 # exact-rational helpers
 # ---------------------------------------------------------------------------
 
-def is_rational_entry(x) -> bool:
-    """True for values that carry exact rational information (int/Fraction)."""
-    return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
+def _exact_entries(xs) -> list | None:
+    out = []
+    for x in xs:
+        if isinstance(x, (int, str)) and not isinstance(x, bool):
+            try:
+                x = Fraction(x)
+            except (ValueError, ZeroDivisionError):
+                return None
+        elif not isinstance(x, Fraction):
+            return None
+        out.append(x)
+    return out
 
 
-def as_exact(m) -> ExactMatrix:
-    """Convert a matrix-like of ints/Fractions/strings to Fraction rows.
+def as_exact(x) -> list | None:
+    """Fraction copy of a vector or a matrix from outside the program, or
+    None when it is not exact: the one test of exactness.
 
-    Strings are accepted in ``p/q`` or decimal form.  Floats are rejected:
-    reconstructing rationals from floats would fabricate exactness.
+    A vector is a list or tuple, a matrix a nonempty list or tuple of
+    equally long rows; a numpy array qualifies only with dtype ``object``.
+    Exact entries are ints, Fractions and ``p/q`` or decimal strings.  A
+    float (reconstructing rationals from floats would fabricate
+    exactness), a bool, or any other entry makes the whole value inexact.
     """
-    rows = []
-    for row in m:
-        out = []
-        for x in row:
-            if isinstance(x, float):
-                raise TypeError("float entries have no exact rational value")
-            out.append(Fraction(x))
-        rows.append(out)
+    if isinstance(x, np.ndarray):
+        if x.dtype != object:
+            return None
+        x = x.tolist()
+    if not isinstance(x, (list, tuple)):
+        return None
+    if not x or not all(isinstance(row, (list, tuple)) for row in x):
+        return _exact_entries(x)
+    rows = [_exact_entries(row) for row in x]
+    if any(row is None or len(row) != len(rows[0]) for row in rows):
+        return None
     return rows
 
 

@@ -1,12 +1,15 @@
 """Dynamical maps: raw matrices on a cone, stochastic matrices, channels.
 
 A :class:`DynMap` couples a real square matrix with the cone it is supposed
-to preserve and a unit element interior to the dual cone.  When every input
-entry is rational the exact matrix is kept alongside the float one, and the
-classification routines use it for kernel/rank questions.  Quantum channels
-built from Kraus operators act on PSD-cone coordinates; their superoperator
-entries are floats, so no exact matrix is attached (reconstructing rationals
-from floats would fabricate exactness).
+to preserve and a unit element interior to the dual cone.  When
+:func:`~conemix.linalg.as_exact` finds the input matrix exact (every entry
+an int, a Fraction or a rational string; a float array never is), the
+Fraction matrix is kept alongside the float one, and the classification
+routines use it for kernel/rank questions; likewise for the unit.
+:func:`from_stochastic` is :func:`from_matrix` on the orthant with the
+all-ones unit, plus its two checks.  Quantum channels built from Kraus
+operators act on PSD-cone coordinates; their superoperator entries are
+floats, so no exact matrix is attached.
 """
 
 from __future__ import annotations
@@ -31,9 +34,8 @@ from .linalg import (
     FLOAT_MODE,
     ScalarMode,
     Spectrum,
-    as_float,
+    as_exact,
     exact_matvec,
-    is_rational_entry,
 )
 
 __all__ = [
@@ -118,31 +120,18 @@ def _check_shape(matrix, cone):
             f"dimension {cone.dim}")
 
 
-def _exact_rows(m):
-    rows = []
-    for row in m:
-        out = []
-        for v in row:
-            if isinstance(v, str):
-                v = Fraction(v)
-            if not is_rational_entry(v):
-                return None
-            out.append(Fraction(v))
-        rows.append(out)
-    return rows
-
-
 def from_matrix(m, cone: Cone, unit=None, mode: ScalarMode = FLOAT_MODE) -> DynMap:
     """Wrap a raw square matrix acting on ``cone``.
 
-    Rational entries (ints, Fractions, or ``"p/q"`` strings) keep an exact
-    copy for the exact classification routes.  The shape is checked against
-    the cone before anything of the cone's size is built.
+    A matrix and a unit that :func:`~conemix.linalg.as_exact` finds exact
+    keep a Fraction copy for the exact classification routes.  The shape
+    is checked against the cone before anything of the cone's size is
+    built.
     """
-    exact = None if isinstance(m, np.ndarray) else _exact_rows(m)
-    matrix = as_float(exact) if exact is not None else np.asarray(m, dtype=float)
+    exact = as_exact(m)
+    matrix = np.asarray(m if exact is None else exact, dtype=float)
     _check_shape(matrix, cone)
-    unit_exact = None
+    unit_exact = as_exact(unit)
     if unit is None:
         unit_f = cone.default_unit()
         try:
@@ -150,9 +139,8 @@ def from_matrix(m, cone: Cone, unit=None, mode: ScalarMode = FLOAT_MODE) -> DynM
         except UnsupportedConeOperation:
             pass
     else:
-        if not isinstance(unit, np.ndarray) and all(is_rational_entry(v) for v in unit):
-            unit_exact = [Fraction(v) for v in unit]
-        unit_f = validate_unit(cone, unit, mode)
+        unit_f = validate_unit(cone, unit if unit_exact is None else unit_exact,
+                               mode)
     return DynMap(matrix, cone, unit_f, exact=exact, unit_exact=unit_exact)
 
 
@@ -160,42 +148,33 @@ def from_stochastic(w) -> DynMap:
     """Build a column-stochastic map on the orthant with the all-ones unit.
 
     Raises :class:`NegativeEntryError` / :class:`ColumnSumViolationError`
-    when the input is not column-stochastic (exactly so for rational input,
+    when the input is not column-stochastic (exactly so for exact input,
     within 1e-12 for float input).
     """
-    exact = None if isinstance(w, np.ndarray) else _exact_rows(w)
-    if exact is not None:
-        d = len(exact)
-        if any(len(row) != d for row in exact):
-            raise DimensionMismatchError("stochastic matrix must be square")
-        for i, row in enumerate(exact):
+    d = len(w)
+    a = from_matrix(w, Orthant(d), [Fraction(1)] * d)
+    a.provenance = "stochastic"
+    if a.exact is not None:
+        for i, row in enumerate(a.exact):
             for j, v in enumerate(row):
                 if v < 0:
                     raise NegativeEntryError(f"entry ({i},{j}) = {v} is negative")
         for j in range(d):
-            s = sum(row[j] for row in exact)
+            s = sum(row[j] for row in a.exact)
             if s != 1:
                 raise ColumnSumViolationError(f"column {j} sums to {s}, not 1")
-        matrix = as_float(exact)
-    else:
-        matrix = np.asarray(w, dtype=float)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise DimensionMismatchError("stochastic matrix must be square")
-        d = matrix.shape[0]
-        bad = np.argwhere(matrix < 0)
-        if bad.size:
-            i, j = bad[0]
-            raise NegativeEntryError(
-                f"entry ({i},{j}) = {matrix[i, j]} is negative")
-        sums = matrix.sum(axis=0)
-        off = np.argwhere(np.abs(sums - 1.0) > 1e-12)
-        if off.size:
-            j = int(off[0][0])
-            raise ColumnSumViolationError(f"column {j} sums to {sums[j]}, not 1")
-    cone = Orthant(d)
-    unit_exact = [Fraction(1)] * d if exact is not None else None
-    return DynMap(matrix, cone, np.ones(d), exact=exact,
-                  unit_exact=unit_exact, provenance="stochastic")
+        return a
+    bad = np.argwhere(a.matrix < 0)
+    if bad.size:
+        i, j = bad[0]
+        raise NegativeEntryError(
+            f"entry ({i},{j}) = {a.matrix[i, j]} is negative")
+    sums = a.matrix.sum(axis=0)
+    off = np.argwhere(np.abs(sums - 1.0) > 1e-12)
+    if off.size:
+        j = int(off[0][0])
+        raise ColumnSumViolationError(f"column {j} sums to {sums[j]}, not 1")
+    return a
 
 
 def from_kraus(ops) -> DynMap:

@@ -241,6 +241,21 @@ def test_classify_lower_triangular_report():
     assert rep.gap_ratio == pytest.approx(0.5)
 
 
+def test_exact_map_tests_its_dual_pair_in_exact_arithmetic():
+    # the dual stationary vector is (1, d) up to scale: interior, but
+    # nearer the boundary than the float tolerance
+    d = Fraction(1, 10 ** 12)
+    rows = [[1 - d, d / 2], [1, Fraction(1, 2)]]
+    exact = classify(from_matrix(rows, Orthant(2)))
+    twin = classify(from_matrix(np.array(rows, dtype=float), Orthant(2)))
+    assert exact.verdicts() == dict.fromkeys(
+        ("ergodic", "mixing", "irreducible", "primitive"), True)
+    assert "dual-stationary-on-boundary" not in exact.hypothesis_flags
+    assert twin.verdicts() == {"ergodic": True, "mixing": True,
+                               "irreducible": False, "primitive": False}
+    assert "dual-stationary-on-boundary" in twin.hypothesis_flags
+
+
 def test_classify_depolarizing_channel():
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     y = np.array([[0, -1j], [1j, 0]])

@@ -315,6 +315,11 @@ DENSE_NILPOTENT = {"cone": {"type": "orthant", "dim": 6},
                        [2, -14, 9, -6, 13, 1], [2, -7, 2, 1, 0, -2],
                        [0, 4, -5, 6, -9, -2], [3, -10, 7, -6, 6, -2]]}}
 IDENTITY_CHAIN = {"map": {"type": "stochastic", "data": [[1, 0], [0, 1]]}}
+IDENTITY_2 = {"cone": {"type": "orthant", "dim": 2},
+              "map": {"type": "matrix", "data": [[1, 0], [0, 1]]}}
+# exact, but its float copy overflows
+HUGE_DATA = {"cone": {"type": "orthant", "dim": 2},
+             "map": {"type": "matrix", "data": [["1e400", 0], [0, 1]]}}
 # its 25 product rays in dimension 9 give more (d-1)-subsets than the
 # dual-ray enumeration takes
 PENTAGON = {"type": "polyhedral", "generators": [
@@ -345,11 +350,27 @@ PENTAGON = {"type": "polyhedral", "generators": [
       "map": {"type": "matrix", "data": [[1]]}}, "classify"),
     ({"cone": {"type": "tensor", "left": PENTAGON, "right": PENTAGON},
       "map": {"type": "matrix", "data": [[1]]}}, "classify"),
+    (dict(IDENTITY_2, unit=3), "classify"),
+    ({"cone": {"type": "polyhedral", "generators": [1, 2]},
+      "map": {"type": "matrix", "data": [[1]]}}, "classify"),
+    (HUGE_DATA, "classify"),
+    (dict(HUGE_DATA, mode="float"), "classify"),
+    ({"cone": {"type": "polyhedral", "generators": [["1e400", 0], [0, 1]]},
+      "map": {"type": "matrix", "data": [[1, 0], [0, 1]]}}, "classify"),
+    (dict(IDENTITY_2, unit=["1e400", 1]), "classify"),
+    ({"map": {"type": "kraus", "ops": [{"re": [[10 ** 400, 0], [0, 1]]}]}},
+     "classify"),
+    # deep enough to overflow a recursive scan for float literals
+    (dict(IDENTITY_2, map={"type": "matrix",
+                           "data": json.loads("[" * 600 + "]" * 600)}),
+     "classify"),
 ], ids=["orthant-dim-x", "psd-hdim-0", "tolerance-abc", "tolerance-negative",
         "simulate-nilpotent", "simulate-dense-nilpotent", "orthant-dim-2.7",
         "orthant-dim-true", "psd-hdim-1.5", "simulate-nilpotent-float",
         "simulate-dense-nilpotent-float", "orthant-dim-1e12",
-        "psd-hdim-1e6", "pentagon(x)pentagon"])
+        "psd-hdim-1e6", "pentagon(x)pentagon", "unit-3", "generators-flat",
+        "data-1e400", "data-1e400-float", "generators-1e400", "unit-1e400",
+        "kraus-re-10**400", "data-nested-600"])
 def test_malformed_input_exits_2(tmp_path, capsys, doc, command):
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(doc))
@@ -360,6 +381,18 @@ def test_malformed_input_exits_2(tmp_path, capsys, doc, command):
     assert code == 2
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", [
+    "[" * 5000 + "]" * 5000,
+    '{"map": {"type": "matrix", "data": [[' + "1" * 5000 + "]]}}",
+], ids=["nested-past-the-stack", "integer-past-the-digit-limit"])
+def test_unreadable_json_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "problem.json"
+    path.write_text(text)
+    code, _, err = run_cli(capsys, "classify", str(path))
+    assert code == 2
+    assert "unreadable JSON" in err
 
 
 def test_oversized_polyhedral_tensor_exits_2_at_once(tmp_path, capsys):

@@ -186,8 +186,59 @@ def test_scalar_mode_validation():
 
 
 def test_as_exact_rejects_floats():
-    with pytest.raises(TypeError):
-        la.as_exact([[0.5]])
+    # a float is never made exact
+    assert la.as_exact([[0.5]]) is None
+
+
+F = Fraction
+
+
+@pytest.mark.parametrize("value, expected", [
+    ([1, 2], [F(1), F(2)]),
+    ((1, F(1, 3)), [F(1), F(1, 3)]),
+    ([[1, F(2, 3)], [0, -4]], [[F(1), F(2, 3)], [F(0), F(-4)]]),
+    (["1/2", "-3/4"], [F(1, 2), F(-3, 4)]),
+    ([["0.25", "1e-3"]], [[F(1, 4), F(1, 1000)]]),
+    (["1e400"], [F(10) ** 400]),
+    ([10 ** 400], [F(10) ** 400]),
+    ([], []),
+    (np.array([F(1, 2), 3], dtype=object), [F(1, 2), F(3)]),
+    (np.array([[F(1, 2), 0], [1, F(1, 3)]], dtype=object),
+     [[F(1, 2), F(0)], [F(1), F(1, 3)]]),
+    ([[1, 0.5]], None),
+    ([0.0], None),
+    (np.array([0.5, 1.0]), None),
+    (np.array([[1.0, 0.0], [0.0, 1.0]]), None),
+    (np.array([1, 2]), None),
+    (np.array([1.0, 2.0], dtype=object), None),
+    ([np.int64(1)], None),
+    (3, None),
+    (F(1, 2), None),
+    ("1/2", None),
+    (None, None),
+    ([True, 1], None),
+    ([[1, False]], None),
+    (["abc"], None),
+    (["1/0"], None),
+    (["nan"], None),
+    ([[1, 2], 3], None),
+    ([1, [2]], None),
+    ([[1, 2], [3]], None),
+    ([[[1]]], None),
+    ([{"re": 1}], None),
+], ids=["ints", "tuple", "matrix", "p/q", "decimal", "huge-string",
+        "huge-int", "empty", "object-vector", "object-matrix",
+        "float-entry", "float-zero", "float-vector", "float-matrix",
+        "int-ndarray", "object-floats", "numpy-int", "scalar-int",
+        "scalar-fraction", "scalar-string", "none", "bool", "bool-in-row",
+        "junk-string", "zero-denominator", "nan-string", "row-and-scalar",
+        "scalar-and-row", "ragged", "three-deep", "dict-entry"])
+def test_as_exact_table(value, expected):
+    got = la.as_exact(value)
+    assert got == expected
+    if got is not None:
+        flat = got[0] if got and isinstance(got[0], list) else got
+        assert all(type(v) is Fraction for v in flat)
 
 
 # ---------------------------------------------------------------------------

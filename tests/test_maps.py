@@ -250,6 +250,42 @@ def test_from_matrix_rejects_nonsquare():
         from_matrix([[1, 2, 3], [4, 5, 6]], Orthant(2))
 
 
+def test_from_matrix_object_array_of_fractions_is_exact():
+    rows = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 2), Fraction(2, 3)]]
+    listed = from_matrix(rows, Orthant(2))
+    boxed = from_matrix(np.array(rows, dtype=object), Orthant(2))
+    assert boxed.exact == listed.exact == rows
+    assert report_to_dict(classify(boxed), RATIONAL_MODE) == \
+        report_to_dict(classify(listed), RATIONAL_MODE)
+
+
+def test_rational_strings_are_exact_in_units_and_cone_queries():
+    a = from_matrix([[1, 0], [0, 1]], Orthant(2), unit=["1/2", "0.25"])
+    assert a.unit_exact == [Fraction(1, 2), Fraction(1, 4)]
+    assert a.unit.tolist() == [0.5, 0.25]
+    assert Orthant(2).contains(["0", "1/3"])
+    assert not Orthant(2).interior_contains(["0", "1/3"])
+    # 1e-20 outside the diamond's facet: only the exact test sees it
+    square = Polyhedral([[1, 1, 0], [1, -1, 0], [1, 0, 1], [1, 0, -1]])
+    outside = ["1", "1/2", "50000000000000000001/100000000000000000000"]
+    assert not square.contains(outside)
+    assert square.contains([float(Fraction(v)) for v in outside])
+
+
+def test_from_stochastic_lists_no_orthant_rays(monkeypatch):
+    # the default unit of an orthant comes from its d rays of length d;
+    # the stochastic all-ones unit needs none of them
+    calls = []
+    rays = Orthant.exact_extremal_generators
+    monkeypatch.setattr(Orthant, "exact_extremal_generators",
+                        lambda self: calls.append(self.dim) or rays(self))
+    from_stochastic([[Fraction(1, 2), 1], [Fraction(1, 2), 0]])
+    from_stochastic(np.full((25, 25), 1 / 25))
+    assert calls == []
+    from_matrix(np.eye(3), Orthant(3))
+    assert calls  # the guard is not vacuous
+
+
 def _transpose_on(a, cone):
     if a.exact is None:
         return from_matrix(a.matrix.T.copy(), cone)
