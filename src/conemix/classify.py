@@ -35,9 +35,8 @@ from .linalg import (
     ScalarMode,
     ZeroSpectralRadiusError,
     chain_pair,
-    exact_matvec,
 )
-from .maps import DynMap, PositivityVerdict, is_dup, is_positive
+from .maps import DynMap, PositivityVerdict, _own_matrix, is_dup, is_positive
 
 __all__ = [
     "Digraph",
@@ -96,19 +95,16 @@ class Digraph:
         return [(u, v) for u in range(self.n) for v in self.succ[u]]
 
 
-def _pattern(m, mode: ScalarMode) -> np.ndarray:
+def _pattern(a: DynMap, mode: ScalarMode) -> np.ndarray:
     """0/1 int64 matrix of the positive entries of a map: exact entries
     above 0, float ones above ``eps_interior`` times the largest modulus."""
-    if isinstance(m, DynMap):
-        m = m.exact if m.exact is not None else m.matrix
-    if isinstance(m, list):
-        return np.array([[x > 0 for x in row] for row in m], dtype=np.int64)
-    mf = np.asarray(m, dtype=float)
-    thresh = mode.eps_interior * max(1.0, float(np.max(np.abs(mf))))
-    return (mf > thresh).astype(np.int64)
+    m = _own_matrix(a)
+    cutoff = 0 if a.exact is not None else \
+        mode.eps_interior * max(1.0, float(np.max(np.abs(m))))
+    return (m > cutoff).astype(np.int64)
 
 
-def digraph_of(m, mode: ScalarMode = FLOAT_MODE) -> Digraph:
+def digraph_of(m: DynMap, mode: ScalarMode = FLOAT_MODE) -> Digraph:
     """Digraph of a map: edge i -> j present iff entry (j, i) is positive."""
     pattern = _pattern(m, mode)
     return Digraph(len(pattern), tuple(
@@ -411,15 +407,13 @@ def _interior_pair_route(a: DynMap, base: bool, mode: ScalarMode) -> Route:
 
 def _binomial_power_route(a: DynMap, gens, mode: ScalarMode) -> Route:
     """(I + A)^(d-1) sends every extremal generator to the interior."""
-    exact = a.exact is not None
-    dtype = object if exact else float  # Fractions or floats, as the map
-    shift = np.eye(a.dim, dtype=dtype) + np.array(
-        a.exact if exact else a.matrix, dtype=dtype)
-    power = np.linalg.matrix_power(shift, a.dim - 1)
-    images = [power @ g for g in np.array(gens, dtype=dtype)]
+    own = _own_matrix(a)  # Fractions or floats, as the map
+    power = np.linalg.matrix_power(np.eye(a.dim, dtype=own.dtype) + own,
+                                   a.dim - 1)
+    images = [power @ g for g in np.array(gens, dtype=own.dtype)]
     return _margin_probe(
         lambda m: all(a.cone.interior_contains(x, m) for x in images),
-        mode, exact)
+        mode, a.exact is not None)
 
 
 def _reachability_route(a: DynMap, gens, dual_gens,
@@ -429,8 +423,9 @@ def _reachability_route(a: DynMap, gens, dual_gens,
     d = a.dim
     n_dual = len(dual_gens)
     if a.exact is not None:
+        own = _own_matrix(a)
         for g in gens:
-            v = list(g)
+            v = np.array(g, dtype=object)
             hit = [False] * n_dual
             for _ in range(d):
                 for k, h in enumerate(dual_gens):
@@ -438,7 +433,7 @@ def _reachability_route(a: DynMap, gens, dual_gens,
                         hit[k] = True
                 if all(hit):
                     break
-                v = exact_matvec(a.exact, v)
+                v = own @ v
             if not all(hit):
                 return Route(False, True)
         return Route(True, True)

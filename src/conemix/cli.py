@@ -63,7 +63,13 @@ from .dynamics import (
     decoupling_trace,
     power_trajectory,
 )
-from .linalg import FLOAT, RATIONAL, ScalarMode, ZeroSpectralRadiusError
+from .linalg import (
+    FLOAT,
+    RATIONAL,
+    ScalarMode,
+    ZeroSpectralRadiusError,
+    as_exact,
+)
 from .maps import (
     ColumnSumViolationError,
     DynMap,
@@ -86,9 +92,9 @@ class SchemaError(ValueError):
 # ---------------------------------------------------------------------------
 
 def _parse_scalar(value, where, rational):
-    """A number as a Fraction in rational mode, else as a float; the one
-    place that refuses a number a float cannot hold (exact maps keep a
-    float copy too)."""
+    """A number as a Fraction in rational mode, else as a float; a number a
+    float cannot hold is refused (exact maps keep a float copy too), a
+    decimal string by ``as_exact`` before its exponent is expanded."""
     if isinstance(value, bool):
         raise SchemaError(f"{where}: booleans are not numbers")
     if isinstance(value, float):
@@ -99,9 +105,12 @@ def _parse_scalar(value, where, rational):
         return value
     if isinstance(value, str):
         try:
-            value = Fraction(value)
-        except (ValueError, ZeroDivisionError) as err:
-            raise SchemaError(f"{where}: bad rational literal {value!r}: {err}")
+            exact = as_exact([value])
+        except ValueError as err:  # a decimal a float cannot hold
+            raise SchemaError(f"{where}: {err}")
+        if exact is None:
+            raise SchemaError(f"{where}: bad rational literal {value!r}")
+        value = exact[0]
     elif not isinstance(value, int):
         raise SchemaError(
             f"{where}: expected a number, got {type(value).__name__}")

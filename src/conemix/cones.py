@@ -25,9 +25,10 @@ Four cone families are supported:
 
 A cone's exact extreme rays and exact dual rays are the one source of its
 other facts: ``extremal_generators()`` is their float copy, and
-``exact_default_unit()`` and ``default_unit()`` the exact and the float sum
-of the dual rays (PSD and tensor cones keep their identity and product
-units; a tensor cone of finite operands has the exact product unit).
+``exact_default_unit()`` the sum of the dual rays, and ``default_unit()``
+its float copy (the orthant answers its all-ones sum directly; PSD and
+tensor cones keep their identity and product units; a tensor cone of
+finite operands has the exact product unit).
 
 Query vectors that :func:`~conemix.linalg.as_exact` finds exact (ints,
 Fractions and rational strings; object arrays of them) are compared
@@ -143,9 +144,8 @@ class Cone:
         return [sum(col) for col in zip(*self.exact_dual_generators())]
 
     def default_unit(self) -> np.ndarray:
-        """Float sum of the dual cone's extreme rays."""
-        return np.sum([[float(v) for v in y]
-                       for y in self.exact_dual_generators()], axis=0)
+        """Float copy of :meth:`exact_default_unit`."""
+        return np.array(self.exact_default_unit(), dtype=float)
 
 
 def validate_unit(cone: Cone, u, mode: ScalarMode = FLOAT_MODE) -> np.ndarray:
@@ -195,6 +195,9 @@ class Orthant(Cone):
         one, zero = Fraction(1), Fraction(0)
         return [[one if i == j else zero for j in range(self.dim)]
                 for i in range(self.dim)]
+
+    def exact_default_unit(self):
+        return [Fraction(1)] * self.dim
 
 
 class HermBasis:
@@ -323,8 +326,8 @@ class Polyhedral(Cone):
 
     @classmethod
     def _from_rays(cls, extremal, dual_rays):
-        """The cone with these exact extreme rays and primitive dual rays,
-        which the caller vouches for: no enumeration runs."""
+        """The cone with these exact extreme rays and spanning primitive
+        dual rays, which the caller vouches for: no enumeration runs."""
         cone = object.__new__(cls)
         cone.dim = len(extremal[0])
         cone._set_rays(extremal, dual_rays)
@@ -332,10 +335,7 @@ class Polyhedral(Cone):
         return cone
 
     def _set_rays(self, gens, dual_rays):
-        """Keep the generators and dual rays with their unit-row float
-        copies; dual rays that do not span mean the cone holds a line."""
-        if exact_rank(dual_rays) != self.dim:
-            raise ValueError("cone is not pointed: it contains a line")
+        """Keep the generators and dual rays with their unit-row copies."""
         self._gens, self._dual_rays = gens, dual_rays
         self._gens_f = _unit_rows(gens)
         self._dual_f = _unit_rows(dual_rays)
@@ -375,7 +375,7 @@ class Polyhedral(Cone):
                         seen.add(key)
                         rays.append([Fraction(v) for v in prim])
                     break
-        if not rays:
+        if exact_rank(rays) != d:  # also when there are none
             raise ValueError("cone is not pointed: it contains a line")
         return rays
 
@@ -454,8 +454,8 @@ class TensorCone(Cone):
     """
 
     #: a polyhedral inner cone of a larger dimension is refused before any
-    #: product is formed: the exact rank that checks it is pointed grows
-    #: with the cube of the dimension
+    #: product is formed: its rays hold (number of rays) x dimension
+    #: Fractions, and the exact work on a map of that size grows faster
     MAX_POLYHEDRAL_DIM = 150
 
     def __init__(self, left: Cone, right: Cone):

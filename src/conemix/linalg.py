@@ -1,10 +1,11 @@
 """Dense matrix kernel: one exact-rational path and one float spectrum.
 
-The exact path works on lists of lists of ``fractions.Fraction``, and
+Exact matrices are stored as lists of rows of ``fractions.Fraction``, and
 :func:`as_exact` is the one test that admits a value from outside the
-program to it.  One fraction-free Gauss-Jordan elimination over
-cleared-denominator integers gives ranks, kernel bases and, through
-kernel chains, multiplicities.
+program to them.  One fraction-free Gauss-Jordan elimination (``_echelon``)
+over cleared-denominator integers gives ranks, kernel bases and, through
+kernel chains, multiplicities; every exact product is numpy's operator on
+an object array of Fractions.
 :class:`Spectrum` owns every spectral fact of one map, float (eigenvalues,
 singular values, peak counts) and exact (kernel chains at the radius),
 and decides when the radius counts as zero.
@@ -16,7 +17,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -35,10 +36,7 @@ __all__ = [
     "MultiplicityPair",
     "ZeroSpectralRadiusError",
     "as_exact",
-    "as_float",
     "exact_rank",
-    "exact_identity",
-    "exact_matmul",
     "chain_pair",
     "Spectrum",
 ]
@@ -46,12 +44,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ScalarMode:
-    """Computation context: arithmetic kind plus the float tolerances.
+    """Computation context: an arithmetic label plus the float tolerances.
 
-    ``eps_rank`` is a relative singular-value cutoff, ``eps_cluster`` an
-    absolute eigenvalue clustering radius (callers normalize by the spectral
-    radius first), ``eps_interior`` a relative strict-positivity margin.
-    The epsilons are ignored on the rational path.
+    No library code reads ``kind``: the map's data decides the arithmetic,
+    and ``kind`` is the label the CLI parses with and echoes.  ``eps_rank``
+    is a relative singular-value cutoff, ``eps_cluster`` an absolute
+    eigenvalue clustering radius (callers normalize by the spectral radius
+    first), ``eps_interior`` a relative strict-positivity margin.  The
+    float routes read them on exact maps too.
     """
 
     kind: str = FLOAT
@@ -97,15 +97,32 @@ RADIUS_FLOOR = 1e-9
 # exact-rational helpers
 # ---------------------------------------------------------------------------
 
+def _fraction(s: str) -> Fraction | None:
+    """Fraction of a rational string, or None when it is not one.  Fraction
+    expands a decimal exponent into a full integer, so a decimal is read by
+    ``float`` first: a nonzero value that a float rounds to 0 or infinity
+    raises ValueError, and a zero mantissa reads as 0."""
+    try:
+        approx = 1.0 if "/" in s else float(s)
+    except ValueError:
+        return None
+    if (approx == 0 or math.isinf(approx)) and \
+            any(c in "123456789" for c in s.lower().partition("e")[0]):
+        raise ValueError(f"{s!r} is out of the range of a float")
+    try:
+        return Fraction(0) if approx == 0 else Fraction(s)
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
 def _exact_entries(xs) -> list | None:
     out = []
     for x in xs:
-        if isinstance(x, (int, str)) and not isinstance(x, bool):
-            try:
-                x = Fraction(x)
-            except (ValueError, ZeroDivisionError):
-                return None
-        elif not isinstance(x, Fraction):
+        if isinstance(x, str):
+            x = _fraction(x)
+        elif isinstance(x, int) and not isinstance(x, bool):
+            x = Fraction(x)
+        if not isinstance(x, Fraction):
             return None
         out.append(x)
     return out
@@ -120,6 +137,7 @@ def as_exact(x) -> list | None:
     Exact entries are ints, Fractions and ``p/q`` or decimal strings.  A
     float (reconstructing rationals from floats would fabricate
     exactness), a bool, or any other entry makes the whole value inexact.
+    A decimal string that a float cannot hold raises ValueError.
     """
     if isinstance(x, np.ndarray):
         if x.dtype != object:
@@ -135,31 +153,10 @@ def as_exact(x) -> list | None:
     return rows
 
 
-def as_float(m) -> np.ndarray:
-    """Float64 array view of either representation."""
-    if isinstance(m, np.ndarray):
-        return m.astype(float, copy=False)
-    return np.array([[float(x) for x in row] for row in m], dtype=float)
-
-
-def exact_identity(d: int) -> ExactMatrix:
-    return [[Fraction(1 if i == j else 0) for j in range(d)] for i in range(d)]
-
-
 def exact_shift(m: ExactMatrix, lam: Fraction) -> ExactMatrix:
     """m - lam * I."""
     return [[x - lam if i == j else x for j, x in enumerate(row)]
             for i, row in enumerate(m)]
-
-
-def exact_matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    k = len(b)
-    bt = list(zip(*b))
-    return [[sum(ra[t] * bc[t] for t in range(k)) for bc in bt] for ra in a]
-
-
-def exact_matvec(a: ExactMatrix, v: Sequence[Fraction]) -> list:
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
 def _integer_rows(m: ExactMatrix) -> list:
@@ -258,28 +255,6 @@ def chain_pair(chain: list) -> "MultiplicityPair":
     if not chain:
         return MultiplicityPair(0, 0)
     return MultiplicityPair(len(chain[0]), len(chain[-1]))
-
-
-def exact_kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    out = []
-    for ra in a:
-        for rb in b:
-            out.append([x * y for x in ra for y in rb])
-    return out
-
-
-def exact_power(m: ExactMatrix, n: int) -> ExactMatrix:
-    if n < 0:
-        raise ValueError("negative power")
-    result = exact_identity(len(m))
-    base = [list(row) for row in m]
-    while n:
-        if n & 1:
-            result = exact_matmul(result, base)
-        n >>= 1
-        if n:
-            base = exact_matmul(base, base)
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -407,8 +382,10 @@ class Spectrum:
     @cached_property
     def chain_r2_kron(self) -> list:
         r = self.r_exact
-        return [] if r is None else \
-            _kernel_chain(exact_kron(self.exact, self.exact), r * r)
+        if r is None:
+            return []
+        exact = np.array(self.exact, dtype=object)
+        return _kernel_chain(np.kron(exact, exact), r * r)
 
     @cached_property
     def left_kernel_r(self) -> list:
@@ -422,9 +399,7 @@ class Spectrum:
         first scaled by a power of two to unit row-sum norm: that adds no
         rounding, keeps every power's entries at most 1, and keeps a small
         map's powers from underflowing to a false zero."""
-        d = len(self.matrix)
-        if self.exact is not None:
-            return not any(v for row in exact_power(self.exact, d) for v in row)
         top = float(np.max(np.sum(np.abs(self.matrix), axis=1), initial=0.0))
-        scaled = np.ldexp(self.matrix, -math.frexp(top)[1])
-        return not np.any(np.linalg.matrix_power(scaled, d))
+        m = np.ldexp(self.matrix, -math.frexp(top)[1]) if self.exact is None \
+            else np.array(self.exact, dtype=object)
+        return not np.any(np.linalg.matrix_power(m, len(m)))

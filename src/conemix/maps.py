@@ -30,13 +30,7 @@ from .cones import (
     UnsupportedConeOperation,
     validate_unit,
 )
-from .linalg import (
-    FLOAT_MODE,
-    ScalarMode,
-    Spectrum,
-    as_exact,
-    exact_matvec,
-)
+from .linalg import FLOAT_MODE, ScalarMode, Spectrum, as_exact
 
 __all__ = [
     "DynMap",
@@ -100,6 +94,12 @@ class DynMap:
         return Spectrum(self.matrix, self.exact)
 
 
+def _own_matrix(a: DynMap) -> np.ndarray:
+    """The matrix in the map's own arithmetic: an object array of
+    Fractions for an exact map, the float array otherwise."""
+    return a.matrix if a.exact is None else np.array(a.exact, dtype=object)
+
+
 @dataclass(frozen=True)
 class PositivityVerdict:
     """Outcome of a cone-preservation check with its certificate."""
@@ -154,23 +154,13 @@ def from_stochastic(w) -> DynMap:
     d = len(w)
     a = from_matrix(w, Orthant(d), [Fraction(1)] * d)
     a.provenance = "stochastic"
-    if a.exact is not None:
-        for i, row in enumerate(a.exact):
-            for j, v in enumerate(row):
-                if v < 0:
-                    raise NegativeEntryError(f"entry ({i},{j}) = {v} is negative")
-        for j in range(d):
-            s = sum(row[j] for row in a.exact)
-            if s != 1:
-                raise ColumnSumViolationError(f"column {j} sums to {s}, not 1")
-        return a
-    bad = np.argwhere(a.matrix < 0)
+    m = _own_matrix(a)
+    bad = np.argwhere(m < 0)
     if bad.size:
         i, j = bad[0]
-        raise NegativeEntryError(
-            f"entry ({i},{j}) = {a.matrix[i, j]} is negative")
-    sums = a.matrix.sum(axis=0)
-    off = np.argwhere(np.abs(sums - 1.0) > 1e-12)
+        raise NegativeEntryError(f"entry ({i},{j}) = {m[i, j]} is negative")
+    sums = m.sum(axis=0)
+    off = np.argwhere(abs(sums - 1) > (0 if a.exact is not None else 1e-12))
     if off.size:
         j = int(off[0][0])
         raise ColumnSumViolationError(f"column {j} sums to {sums[j]}, not 1")
@@ -216,9 +206,7 @@ def adjoint(a: DynMap) -> DynMap:
     adjoint is literally the transpose.  Self-dual cones keep their cone;
     tensor cones with PSD operands raise :class:`UnsupportedConeOperation`.
     """
-    if a.exact is not None:
-        return from_matrix([list(col) for col in zip(*a.exact)], a.cone.dual())
-    return from_matrix(a.matrix.T.copy(), a.cone.dual())
+    return from_matrix(_own_matrix(a).T.copy(), a.cone.dual())
 
 
 def is_dup(a: DynMap) -> bool:
@@ -228,12 +216,12 @@ def is_dup(a: DynMap) -> bool:
     a relative tolerance.
     """
     if a.exact is not None and a.unit_exact is not None:
-        image = [sum(a.exact[i][j] * a.unit_exact[i] for i in range(a.dim))
-                 for j in range(a.dim)]
-        return image == list(a.unit_exact)
-    image = a.matrix.T @ a.unit
-    return bool(np.linalg.norm(image - a.unit)
-                <= 1e-9 * max(1.0, np.linalg.norm(a.unit)))
+        m, u, cutoff = _own_matrix(a), np.array(a.unit_exact, dtype=object), 0
+    else:
+        m, u = a.matrix, a.unit
+        cutoff = 1e-9 * max(1.0, np.linalg.norm(u))
+    gap = m.T @ u - u
+    return bool(gap @ gap <= cutoff * cutoff)
 
 
 def choi_matrix(a: DynMap) -> np.ndarray:
@@ -268,19 +256,14 @@ def is_positive(a: DynMap, mode: ScalarMode = FLOAT_MODE) -> PositivityVerdict:
     """
     cone = a.cone
     if isinstance(cone, Orthant):
-        if a.exact is not None:
-            for i, row in enumerate(a.exact):
-                for j, v in enumerate(row):
-                    if v < 0:
-                        return PositivityVerdict(
-                            "no", f"entry ({i},{j}) = {v} is negative")
-            return PositivityVerdict("yes", "all entries nonnegative")
-        scale = np.max(np.abs(a.matrix)) if a.matrix.size else 0.0
-        bad = np.argwhere(a.matrix < -mode.eps_interior * max(1.0, scale))
+        m = _own_matrix(a)
+        cutoff = 0 if a.exact is not None else \
+            mode.eps_interior * max(1.0, float(np.max(np.abs(m))))
+        bad = np.argwhere(m < -cutoff)
         if bad.size:
             i, j = (int(v) for v in bad[0])
             return PositivityVerdict(
-                "no", f"entry ({i},{j}) = {a.matrix[i, j]} is negative")
+                "no", f"entry ({i},{j}) = {m[i, j]} is negative")
         return PositivityVerdict("yes", "all entries nonnegative")
 
     if isinstance(cone, (Polyhedral, TensorCone)):
@@ -290,12 +273,9 @@ def is_positive(a: DynMap, mode: ScalarMode = FLOAT_MODE) -> PositivityVerdict:
             return PositivityVerdict(
                 "unknown", "tensor cone with PSD operands: no finite "
                 "generator test")
+        m = _own_matrix(a)
         for idx, g in enumerate(gens):
-            if a.exact is not None:
-                image = exact_matvec(a.exact, g)
-            else:
-                image = a.matrix @ np.array([float(v) for v in g])
-            if not cone.contains(image, mode):
+            if not cone.contains(m @ np.array(g, dtype=m.dtype), mode):
                 return PositivityVerdict(
                     "no", f"image of extremal generator {idx} leaves the cone")
         return PositivityVerdict("yes", "every extremal generator maps into "

@@ -166,8 +166,8 @@ def _route_agreement(a, kron_cone):
 
     # tensor-square ergodicity must equal base-map mixing
     if a.exact is not None:
-        from conemix.linalg import exact_kron
-        big = from_matrix(exact_kron(a.exact, a.exact), kron_cone)
+        exact = np.array(a.exact, dtype=object)
+        big = from_matrix(np.kron(exact, exact), kron_cone)
     else:
         big = from_matrix(np.kron(a.matrix, a.matrix), kron_cone)
     if is_ergodic(big) != _resolve_value(mix):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conemix import (
+    ColumnSumViolationError,
     Digraph,
     NotErgodicError,
     NotStronglyConnectedError,
@@ -18,9 +19,11 @@ from conemix import (
     from_kraus,
     from_matrix,
     from_stochastic,
+    is_dup,
     is_ergodic,
     is_irreducible,
     is_mixing,
+    is_positive,
     is_primitive,
     period,
     power_interior_probe,
@@ -149,8 +152,8 @@ def test_swap_is_ergodic_not_mixing():
 def test_swap_kron_kernel_dimension():
     from conemix import linalg
     a = swap_chain()
-    kron_exact = linalg.exact_kron(a.exact, a.exact)
-    shifted = linalg.exact_shift(kron_exact, 1)
+    exact = np.array(a.exact, dtype=object)
+    shifted = linalg.exact_shift(np.kron(exact, exact), 1)
     assert 4 - linalg.exact_rank(shifted) == 2
 
 
@@ -413,13 +416,13 @@ def test_polyhedral_cone_routes_agree():
 def test_primitive_iff_tensor_square_irreducible_on_wedge():
     # the tensor-square characterization of primitivity, exercised on a
     # polyhedral cone where the product cone stays finitely generated
-    from conemix.linalg import as_exact, exact_kron
     wedge = Polyhedral([[1, 0], [1, 1]])
     tensor = TensorCone(wedge, wedge)
     cases = ([[2, 1], [1, 1]], [[1, 0], [0, 1]], [[3, 0], [1, 1]])
     for m in cases:
         a = from_matrix(m, wedge)
-        big = from_matrix(exact_kron(as_exact(m), as_exact(m)), tensor)
+        exact = np.array(m, dtype=object)
+        big = from_matrix(np.kron(exact, exact), tensor)
         assert is_primitive(a) == is_irreducible(big)
     # cone-dependence: this map is primitive on the wedge but its dual
     # Perron vector sits on the orthant's boundary
@@ -566,3 +569,47 @@ def test_tolerance_marginal_flags_near_identity(e):
     assert rep.verdicts() == dict.fromkeys(
         ("ergodic", "mixing", "irreducible", "primitive"), verdict)
     assert rep.hypothesis_flags == flags
+
+
+# ---------------------------------------------------------------------------
+# exact maps cut at 0, float maps at the float tolerance
+# ---------------------------------------------------------------------------
+
+TINY = Fraction(1, 10 ** 30)
+
+
+def _stochastic_verdict(m):
+    try:
+        from_stochastic(m)
+    except ColumnSumViolationError:
+        return "column-sum-violation"
+    return "stochastic"
+
+
+def _radius_verdict(m):
+    report = classify(from_matrix(m, Orthant(2)))
+    if any(f.startswith("zero-spectral-radius")
+           for f in report.hypothesis_flags):
+        return "zero-spectral-radius"
+    return f"r={report.r:.3g}"
+
+
+# each exact map differs from its float twin only below the float
+# tolerance, so a path that cut an exact map at that tolerance would give
+# the float twin's answer
+@pytest.mark.parametrize("m, probe, exact, inexact", [
+    ([[1 - TINY, Fraction(1, 2)], [2 * TINY, Fraction(1, 2)]],
+     _stochastic_verdict, "column-sum-violation", "stochastic"),
+    ([[1, -TINY], [0, 1]],
+     lambda m: is_positive(from_matrix(m, Orthant(2))).value, "no", "yes"),
+    ([[1, TINY], [0, 1]],
+     lambda m: digraph_of(from_matrix(m, Orthant(2))).edges(),
+     [(0, 0), (1, 0), (1, 1)], [(0, 0), (1, 1)]),
+    ([[1, 0], [TINY, 1]],
+     lambda m: is_dup(from_matrix(m, Orthant(2), [1, 1])), False, True),
+    ([[0, 1], [TINY, 0]], _radius_verdict, "r=1e-15",
+     "zero-spectral-radius"),
+], ids=["from-stochastic", "is-positive", "digraph", "is-dup", "nilpotent"])
+def test_exact_maps_cut_at_zero(m, probe, exact, inexact):
+    assert probe(m) == exact
+    assert probe([[float(v) for v in row] for row in m]) == inexact

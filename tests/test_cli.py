@@ -10,7 +10,7 @@ import pytest
 
 from conemix.cli import load_problem, main, problem_to_dict, report_to_dict
 from conemix.classify import classify
-from conemix.linalg import FLOAT_MODE
+from conemix.linalg import FLOAT, FLOAT_MODE, RATIONAL
 from helpers import random_dense_stochastic, random_kraus_channel
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -324,6 +324,19 @@ HUGE_DATA = {"cone": {"type": "orthant", "dim": 2},
 # dual-ray enumeration takes
 PENTAGON = {"type": "polyhedral", "generators": [
     [2, 2, 0], [2, 0, 2], [2, -2, 1], [2, -2, -1], [2, 0, -2]]}
+# decimals a float rounds to infinity or to 0, whose exponent Fraction
+# would expand into an integer of ten million digits, in map data,
+# generators and unit, in both modes
+DECIMAL_CASES = [
+    (f"{where}-{value}-{mode}", dict(doc, mode=mode))
+    for value in ("1e10000000", "-1e10000000", "1e-10000000")
+    for mode in (RATIONAL, FLOAT)
+    for where, doc in (
+        ("data", dict(IDENTITY_2, map={"type": "matrix",
+                                       "data": [[value, 0], [0, 1]]})),
+        ("generators", dict(IDENTITY_2, cone={
+            "type": "polyhedral", "generators": [[value, 0], [0, 1]]})),
+        ("unit", dict(IDENTITY_2, unit=[value, 1])))]
 
 
 @pytest.mark.parametrize("doc, command", [
@@ -364,20 +377,24 @@ PENTAGON = {"type": "polyhedral", "generators": [
     (dict(IDENTITY_2, map={"type": "matrix",
                            "data": json.loads("[" * 600 + "]" * 600)}),
      "classify"),
-], ids=["orthant-dim-x", "psd-hdim-0", "tolerance-abc", "tolerance-negative",
-        "simulate-nilpotent", "simulate-dense-nilpotent", "orthant-dim-2.7",
-        "orthant-dim-true", "psd-hdim-1.5", "simulate-nilpotent-float",
-        "simulate-dense-nilpotent-float", "orthant-dim-1e12",
-        "psd-hdim-1e6", "pentagon(x)pentagon", "unit-3", "generators-flat",
-        "data-1e400", "data-1e400-float", "generators-1e400", "unit-1e400",
-        "kraus-re-10**400", "data-nested-600"])
+] + [(doc, "classify") for _, doc in DECIMAL_CASES],
+    ids=["orthant-dim-x", "psd-hdim-0", "tolerance-abc", "tolerance-negative",
+         "simulate-nilpotent", "simulate-dense-nilpotent", "orthant-dim-2.7",
+         "orthant-dim-true", "psd-hdim-1.5", "simulate-nilpotent-float",
+         "simulate-dense-nilpotent-float", "orthant-dim-1e12",
+         "psd-hdim-1e6", "pentagon(x)pentagon", "unit-3", "generators-flat",
+         "data-1e400", "data-1e400-float", "generators-1e400", "unit-1e400",
+         "kraus-re-10**400", "data-nested-600"]
+    + [name for name, _ in DECIMAL_CASES])
 def test_malformed_input_exits_2(tmp_path, capsys, doc, command):
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(doc))
     argv = [command, str(path)]
     if command == "simulate":
         argv += ["--init", "uniform", "--steps", "300"]
+    start = time.perf_counter()
     code, _, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0  # refused up front
     assert code == 2
     assert err.startswith("error: ")
     assert "Traceback" not in err

@@ -23,6 +23,7 @@ from conemix import (
 )
 from conemix.cli import report_to_dict
 from conemix.cones import _primitive
+from conemix.linalg import exact_rank
 from helpers import reference_tensor_inner, route_corpus, \
     seeded_polyhedral_cones, seeded_simplicial_pairs
 
@@ -288,6 +289,8 @@ def test_dual_matches_brute_force_enumeration():
             _rays(brute.exact_dual_generators()), name
         assert len(dual.exact_dual_generators()) == \
             len(brute.exact_dual_generators()), name
+        # dual() runs no rank: the rays it takes over span
+        assert exact_rank(dual.exact_dual_generators()) == dual.dim, name
         double = dual.dual()
         assert [list(map(int, g)) for g in double.exact_extremal_generators()] \
             == [_primitive(g) for g in cone.exact_extremal_generators()], name
@@ -320,6 +323,8 @@ def test_simplicial_tensor_cone_matches_enumeration():
         assert cone.exact_extremal_generators() == \
             brute.exact_extremal_generators(), name
         for ours, ref in ((cone, brute), (cone.dual(), brute.dual())):
+            # the product path runs no rank: products of spanning sets span
+            assert exact_rank(ours.exact_dual_generators()) == ours.dim, name
             for rays in ("exact_extremal_generators",
                          "exact_dual_generators"):
                 mine, theirs = getattr(ours, rays)(), getattr(ref, rays)()
@@ -333,31 +338,44 @@ def test_simplicial_tensor_cone_matches_enumeration():
     assert len(names) == 20
 
 
-@pytest.fixture
-def kernel_calls(monkeypatch):
+def _counted(monkeypatch, name):
     calls = []
-    kernel = conemix.cones.exact_kernel_basis
+    original = getattr(conemix.cones, name)
 
     def counting(m):
         calls.append(len(m))
-        return kernel(m)
+        return original(m)
 
-    monkeypatch.setattr(conemix.cones, "exact_kernel_basis", counting)
+    monkeypatch.setattr(conemix.cones, name, counting)
     return calls
 
 
-def test_simplicial_tensor_cones_enumerate_nothing(kernel_calls):
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    return _counted(monkeypatch, "exact_kernel_basis")
+
+
+@pytest.fixture
+def rank_calls(monkeypatch):
+    return _counted(monkeypatch, "exact_rank")
+
+
+def test_simplicial_tensor_cones_enumerate_nothing(kernel_calls, rank_calls):
     triangle = Polyhedral([[1, 0, 0], [1, 1, 0], [1, 0, 1]])
     square = Polyhedral([[1, 1, 1], [1, -1, 1], [1, -1, -1], [1, 1, -1]])
     wedge = Polyhedral([[1, 1], [1, -1]])
-    kernel_calls.clear()  # the operands enumerate their own dual rays
+    # the operands enumerate their own dual rays
+    kernel_calls.clear()
+    rank_calls.clear()
     for left, right in ((triangle, square), (wedge, wedge)):
         TensorCone(left, right).dual()
     assert kernel_calls == []
-    # the brute-force build of the same cone does enumerate, so the count
-    # above is not vacuous
+    assert rank_calls == []
+    # the brute-force build of the same cone does enumerate and rank, so
+    # the counts above are not vacuous
     reference_tensor_inner(wedge, wedge)
     assert kernel_calls
+    assert rank_calls
 
 
 def test_only_non_simplicial_pairs_enumerate(monkeypatch):

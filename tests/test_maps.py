@@ -273,17 +273,26 @@ def test_rational_strings_are_exact_in_units_and_cone_queries():
 
 
 def test_from_stochastic_lists_no_orthant_rays(monkeypatch):
-    # the default unit of an orthant comes from its d rays of length d;
-    # the stochastic all-ones unit needs none of them
+    # the all-ones units of an orthant need none of its d rays of length d,
+    # neither for a stochastic map nor for a raw matrix without a unit
     calls = []
     rays = Orthant.exact_extremal_generators
     monkeypatch.setattr(Orthant, "exact_extremal_generators",
                         lambda self: calls.append(self.dim) or rays(self))
     from_stochastic([[Fraction(1, 2), 1], [Fraction(1, 2), 0]])
     from_stochastic(np.full((25, 25), 1 / 25))
+    from_matrix(np.eye(25), Orthant(25))
+    from_matrix([[1, 0], [0, 1]], Orthant(2))
     assert calls == []
-    from_matrix(np.eye(3), Orthant(3))
+    Orthant(3).exact_dual_generators()
     assert calls  # the guard is not vacuous
+    # both units are still the sums of the dual rays
+    for d in (1, 3, 25):
+        cone, dual_rays = Orthant(d), rays(Orthant(d))
+        assert cone.exact_default_unit() == [sum(c) for c in zip(*dual_rays)]
+        np.testing.assert_array_equal(
+            cone.default_unit(),
+            np.sum([[float(v) for v in y] for y in dual_rays], axis=0))
 
 
 def _transpose_on(a, cone):
