@@ -34,7 +34,10 @@ from .linalg import (
     MultiplicityPair,
     ScalarMode,
     ZeroSpectralRadiusError,
+    _integer_multiple,
+    _integer_rows,
     chain_pair,
+    exact_shift,
 )
 from .maps import DynMap, PositivityVerdict, _own_matrix, is_dup, is_positive
 
@@ -375,7 +378,7 @@ def mixing_routes(a: DynMap, mode: ScalarMode = FLOAT_MODE) -> dict:
     routes = {}
     if spec.r_exact is not None:
         routes["kron-fixed-space-dim"] = Route(
-            chain_pair(spec.chain_r2_kron).geometric == 1, True)
+            spec.kron_r2_pair.geometric == 1, True)
     routes["kron-geometric"] = _margin_probe(
         lambda m: spec.peak_pair(m).algebraic >= 1
         and spec.kron_peak_pair(m).geometric == 1, mode)
@@ -406,11 +409,16 @@ def _interior_pair_route(a: DynMap, base: bool, mode: ScalarMode) -> Route:
 
 
 def _binomial_power_route(a: DynMap, gens, mode: ScalarMode) -> Route:
-    """(I + A)^(d-1) sends every extremal generator to the interior."""
-    own = _own_matrix(a)  # Fractions or floats, as the map
-    power = np.linalg.matrix_power(np.eye(a.dim, dtype=own.dtype) + own,
-                                   a.dim - 1)
-    images = [power @ g for g in np.array(gens, dtype=own.dtype)]
+    """(I + A)^(d-1) sends every extremal generator to the interior.  An
+    exact map runs on integers: a positive multiple of I + A and of each
+    generator moves no image across the cone's boundary."""
+    if a.exact is None:
+        step, gens = np.eye(a.dim) + a.matrix, np.array(gens, dtype=float)
+    else:
+        step = _integer_multiple(exact_shift(a.exact, -1))
+        gens = np.array(_integer_rows(gens), dtype=object)
+    power = np.linalg.matrix_power(step, a.dim - 1)
+    images = [power @ g for g in gens]
     return _margin_probe(
         lambda m: all(a.cone.interior_contains(x, m) for x in images),
         mode, a.exact is not None)
@@ -419,22 +427,21 @@ def _binomial_power_route(a: DynMap, gens, mode: ScalarMode) -> Route:
 def _reachability_route(a: DynMap, gens, dual_gens,
                         mode: ScalarMode) -> Route:
     """Every (generator, dual generator) pair has a strictly positive
-    pairing within d-1 applications of the map (support reachability)."""
+    pairing within d-1 applications of the map (support reachability).
+    An exact map runs on integers, positive multiples of the map and of
+    each generator and dual generator, which keep every pairing's sign."""
     d = a.dim
-    n_dual = len(dual_gens)
     if a.exact is not None:
-        own = _own_matrix(a)
-        for g in gens:
-            v = np.array(g, dtype=object)
-            hit = [False] * n_dual
+        step = _integer_multiple(a.exact)
+        duals = np.array(_integer_rows(dual_gens), dtype=object)
+        for v in np.array(_integer_rows(gens), dtype=object):
+            hit = np.zeros(len(duals), dtype=bool)
             for _ in range(d):
-                for k, h in enumerate(dual_gens):
-                    if not hit[k] and sum(x * y for x, y in zip(h, v)) > 0:
-                        hit[k] = True
-                if all(hit):
+                hit |= duals @ v > 0
+                if hit.all():
                     break
-                v = own @ v
-            if not all(hit):
+                v = step @ v
+            if not hit.all():
                 return Route(False, True)
         return Route(True, True)
 
@@ -668,7 +675,7 @@ def classify(a: DynMap, mode: ScalarMode = FLOAT_MODE) -> ClassificationReport:
         flags.append("spectral-radius-computed-in-float")
 
     if spec.r_exact is not None:
-        mult_r, mult_r2 = map(chain_pair, (spec.chain_r, spec.chain_r2_kron))
+        mult_r, mult_r2 = chain_pair(spec.chain_r), spec.kron_r2_pair
     else:
         mult_r, mult_r2 = spec.peak_pair(mode), spec.kron_peak_pair(mode)
 

@@ -424,12 +424,8 @@ def _uniform_state(cone: Cone) -> np.ndarray:
 def _parse_init(arg, cone: Cone):
     if arg == "uniform":
         return _uniform_state(cone)
-    try:
-        vec = np.array([float(Fraction(part)) for part in arg.split(",")],
-                       dtype=float)
-    except (ValueError, ZeroDivisionError):
-        raise SchemaError(f"--init: expected \"uniform\" or a comma-"
-                          f"separated vector, got {arg!r}")
+    vec = np.array([_parse_scalar(part, f"--init[{i}]", False)
+                    for i, part in enumerate(arg.split(","))], dtype=float)
     if len(vec) != cone.dim:
         raise SchemaError(f"--init: expected {cone.dim} components, got "
                           f"{len(vec)}")

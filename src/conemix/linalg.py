@@ -5,10 +5,14 @@ Exact matrices are stored as lists of rows of ``fractions.Fraction``, and
 program to them.  One fraction-free Gauss-Jordan elimination (``_echelon``)
 over cleared-denominator integers gives ranks, kernel bases and, through
 kernel chains, multiplicities; every exact product is numpy's operator on
-an object array of Fractions.
+an object array of Fractions.  The d^2 x d^2 Kronecker square is first
+eliminated modulo a prime, in int64: a kernel no larger than a known lower
+bound certifies its exact multiplicities, and ``_echelon`` runs on it only
+when that certificate fails.
 :class:`Spectrum` owns every spectral fact of one map, float (eigenvalues,
-singular values, peak counts) and exact (kernel chains at the radius),
-and decides when the radius counts as zero.
+singular values, peak counts) and exact (the kernel chain at the radius,
+the certified pair at r^2 on the square), and decides when the radius
+counts as zero.
 """
 
 from __future__ import annotations
@@ -170,6 +174,15 @@ def _integer_rows(m: ExactMatrix) -> list:
     return out
 
 
+def _integer_multiple(m: ExactMatrix) -> np.ndarray:
+    """``D * m`` as an object array of ints, for D the lcm of all of m's
+    denominators.  One common factor keeps m's action up to a positive
+    scalar, where ``_integer_rows`` keeps only the row space."""
+    lcm = math.lcm(*(x.denominator for row in m for x in row))
+    return np.array([[x.numerator * (lcm // x.denominator) for x in row]
+                     for row in m], dtype=object)
+
+
 def _echelon(m: ExactMatrix):
     """Fraction-free Gauss-Jordan form of m over cleared-denominator integers.
 
@@ -250,6 +263,58 @@ def _kernel_chain(m: ExactMatrix, lam) -> list:
     return chain
 
 
+# ---------------------------------------------------------------------------
+# modular elimination: a certificate for the Kronecker-square kernel
+# ---------------------------------------------------------------------------
+
+#: prime modulus of the Kronecker-square certificate; residues stay below
+#: 2^31, so the product of two fits in int64
+_PRIME = 2 ** 31 - 1
+
+
+def _rank_mod(a: np.ndarray, p: int) -> int:
+    """Rank of an int64 matrix of residues over GF(p), by row echelon
+    elimination in place.  Each step adds a multiple of the pivot row to
+    the rows below it (a residue times a residue stays below 2^62) and
+    reduces once."""
+    n_rows, n_cols = a.shape
+    rank = 0
+    for col in range(n_cols):
+        if rank == n_rows:
+            break
+        nonzero = np.flatnonzero(a[rank:, col])
+        if nonzero.size == 0:
+            continue
+        k = rank + int(nonzero[0])
+        if k != rank:
+            a[[rank, k], col:] = a[[k, rank], col:]
+        below = a[rank + 1:, col:]
+        factors = below[:, 0] * (p - pow(int(a[rank, col]), -1, p)) % p
+        below += np.multiply.outer(factors, a[rank, col:])
+        below %= p
+        rank += 1
+    return rank
+
+
+def _kron_kernel_dim_mod(m: ExactMatrix, lam: Fraction) -> int | None:
+    """``dim ker(m (x) m - lam^2 I)`` over GF(p) for ``p = _PRIME``, at
+    least its dimension over the rationals; None when p divides a
+    denominator.  One modular inverse per distinct denominator."""
+    p = _PRIME
+    denominators = {x.denominator for row in m for x in row}
+    denominators.add(lam.denominator)
+    if any(q % p == 0 for q in denominators):
+        return None
+    inverse = {q: pow(q, -1, p) for q in denominators}
+    m_p = np.array([[x.numerator * inverse[x.denominator] % p for x in row]
+                    for row in m], dtype=np.int64)
+    lam_p = lam.numerator * inverse[lam.denominator] % p
+    s = np.kron(m_p, m_p) % p
+    s[np.diag_indices_from(s)] += p - lam_p * lam_p % p
+    s %= p
+    return len(s) - _rank_mod(s, p)
+
+
 def chain_pair(chain: list) -> "MultiplicityPair":
     """(geometric, algebraic) multiplicity read off a kernel chain."""
     if not chain:
@@ -286,8 +351,10 @@ class Spectrum:
     normalized Kronecker square ``A (x) A / r^2``.  Its eigenvalues are the
     products of A's, so only the singular values of ``A (x) A / r^2 - I``
     need the d^2 x d^2 square, and they are computed only when r^2 is a
-    repeated eigenvalue of it.  The chains are exact kernel chains (see
-    ``_kernel_chain``) and are empty without a verified rational radius.
+    repeated eigenvalue of it.  ``chain_r`` is an exact kernel chain (see
+    ``_kernel_chain``), empty without a verified rational radius;
+    ``kron_r2_pair`` is certified modulo a prime, with the exact kernel
+    chain of the square as the fallback.
     """
 
     def __init__(self, matrix: np.ndarray, exact: ExactMatrix | None = None):
@@ -380,12 +447,32 @@ class Spectrum:
         return self._r_candidate if self.chain_r else None
 
     @cached_property
-    def chain_r2_kron(self) -> list:
+    def kron_r2_pair(self) -> MultiplicityPair:
+        """Exact (geometric, algebraic) multiplicity of r^2 on ``A (x) A``,
+        (0, 0) without a verified rational radius.
+
+        A pair of Jordan blocks ``J_p(lam)``, ``J_q(mu)`` of A with
+        ``lam mu = r^2`` gives ``min(p, q)`` blocks at r^2 (Horn & Johnson,
+        *Topics in Matrix Analysis*, ch. 4), and ``|lam|, |mu| <= r``
+        leaves only peripheral pairs.  The pairs (r, r) and (-r, -r) alone
+        give ``L = g(r)^2 + g(-r)^2`` blocks, and more unless every block at
+        +-r has size 1; any other pair adds one more.  So the geometric
+        count is at least L, and when it equals L the algebraic count
+        ``a(r)^2 + a(-r)^2`` does too.  Reduction modulo a prime only
+        lowers ranks, so a kernel of dimension L for
+        ``A (x) A - r^2 I`` over GF(p) proves the pair (L, L).  Otherwise
+        (a larger modular kernel, p dividing a denominator) the exact
+        kernel chain of the square decides.
+        """
         r = self.r_exact
         if r is None:
-            return []
+            return MultiplicityPair(0, 0)
+        g_neg = len(self.exact) - exact_rank(exact_shift(self.exact, -r))
+        bound = len(self.chain_r[0]) ** 2 + g_neg ** 2
+        if _kron_kernel_dim_mod(self.exact, r) == bound:
+            return MultiplicityPair(bound, bound)
         exact = np.array(self.exact, dtype=object)
-        return _kernel_chain(np.kron(exact, exact), r * r)
+        return chain_pair(_kernel_chain(np.kron(exact, exact), r * r))
 
     @cached_property
     def left_kernel_r(self) -> list:
@@ -395,11 +482,12 @@ class Spectrum:
 
     @cached_property
     def nilpotent(self) -> bool:
-        """Is A^d = 0 in the map's own arithmetic?  The float matrix is
+        """Is A^d = 0 in the map's own arithmetic?  An exact matrix is
+        cleared to integers by one common factor.  The float matrix is
         first scaled by a power of two to unit row-sum norm: that adds no
         rounding, keeps every power's entries at most 1, and keeps a small
         map's powers from underflowing to a false zero."""
         top = float(np.max(np.sum(np.abs(self.matrix), axis=1), initial=0.0))
         m = np.ldexp(self.matrix, -math.frexp(top)[1]) if self.exact is None \
-            else np.array(self.exact, dtype=object)
+            else _integer_multiple(self.exact)
         return not np.any(np.linalg.matrix_power(m, len(m)))

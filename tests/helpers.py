@@ -11,6 +11,7 @@ from conemix import FLOAT_MODE, RATIONAL_MODE, Digraph, MultiplicityPair, \
     UnsupportedConeOperation, adjoint, from_kraus, from_matrix, \
     from_stochastic, strongly_connected, tensor_product_digraph
 from conemix.classify import Route, _margin_probe
+from conemix.linalg import _kernel_chain, chain_pair
 
 
 def random_stochastic_exact(rng, d):
@@ -198,6 +199,27 @@ def reference_kron_peak_pair(matrix, mode):
     return MultiplicityPair(max(1, min(geometric, algebraic)), algebraic)
 
 
+def random_exact_chain(rng, d, kind):
+    """Exact column-stochastic rows with the digraph of ``random_chain``:
+    weights 1 or 2 on its support, normalized per column."""
+    support = random_chain(rng, d, kind) > 0
+    weights = support * rng.integers(1, 3, size=(d, d))
+    totals = weights.sum(axis=0)
+    return [[Fraction(int(weights[i, j]), int(totals[j])) for j in range(d)]
+            for i in range(d)]
+
+
+def reference_kron_r2_pair(a):
+    """Exact multiplicities of r^2 on ``A (x) A`` from the fraction-free
+    kernel chain of the full d^2 x d^2 Fraction square; (0, 0) without a
+    verified rational radius."""
+    r = a.spectrum.r_exact
+    if r is None:
+        return MultiplicityPair(0, 0)
+    exact = np.array(a.exact, dtype=object)
+    return chain_pair(_kernel_chain(np.kron(exact, exact), r * r))
+
+
 def reference_kron_digraph_connected(pattern):
     """Strong connectivity of g (x) g, for g the digraph of a 0/1 pattern
     (edge i -> j iff ``pattern[j, i]``), by Tarjan on the product."""
@@ -381,3 +403,25 @@ def reference_reachability_float(a, gens, dual_gens, mode=FLOAT_MODE):
         lambda m: all(bool(np.all(np.any(dots > m.eps_interior * norms,
                                          axis=0)))
                       for dots, norms in traces), mode)
+
+
+def reference_generator_routes_exact(a, gens, dual_gens):
+    """The exact binomial-power and reachability verdicts over Fractions,
+    on A itself: ``(I + A)^(d-1) g`` interior for every generator g, and
+    every (generator, dual generator) pair pairing positively within
+    d - 1 applications of A."""
+    own = np.array(a.exact, dtype=object)
+    power = np.linalg.matrix_power(np.eye(a.dim, dtype=object) + own,
+                                   a.dim - 1)
+    binomial = all(a.cone.interior_contains(power @ np.array(g, dtype=object))
+                   for g in gens)
+    reachable = True
+    for g in gens:
+        v = np.array(g, dtype=object)
+        hit = [False] * len(dual_gens)
+        for _ in range(a.dim):
+            hit = [was or sum(x * y for x, y in zip(h, v)) > 0
+                   for was, h in zip(hit, dual_gens)]
+            v = own @ v
+        reachable = reachable and all(hit)
+    return binomial, reachable

@@ -377,6 +377,9 @@ DECIMAL_CASES = [
     (dict(IDENTITY_2, map={"type": "matrix",
                            "data": json.loads("[" * 600 + "]" * 600)}),
      "classify"),
+    # --init components are read like problem-file scalars
+    (IDENTITY_CHAIN, "simulate --init 1e400,1"),
+    (IDENTITY_CHAIN, "simulate --init 1e10000000,1"),
 ] + [(doc, "classify") for _, doc in DECIMAL_CASES],
     ids=["orthant-dim-x", "psd-hdim-0", "tolerance-abc", "tolerance-negative",
          "simulate-nilpotent", "simulate-dense-nilpotent", "orthant-dim-2.7",
@@ -384,14 +387,17 @@ DECIMAL_CASES = [
          "simulate-dense-nilpotent-float", "orthant-dim-1e12",
          "psd-hdim-1e6", "pentagon(x)pentagon", "unit-3", "generators-flat",
          "data-1e400", "data-1e400-float", "generators-1e400", "unit-1e400",
-         "kraus-re-10**400", "data-nested-600"]
+         "kraus-re-10**400", "data-nested-600", "init-1e400",
+         "init-1e10000000"]
     + [name for name, _ in DECIMAL_CASES])
 def test_malformed_input_exits_2(tmp_path, capsys, doc, command):
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(doc))
-    argv = [command, str(path)]
+    command, *options = command.split()
+    argv = [command, str(path)] + options
     if command == "simulate":
-        argv += ["--init", "uniform", "--steps", "300"]
+        argv += ([] if options else ["--init", "uniform"]) + \
+            ["--steps", "300"]
     start = time.perf_counter()
     code, _, err = run_cli(capsys, *argv)
     assert time.perf_counter() - start < 1.0  # refused up front

@@ -5,21 +5,32 @@ products of A's and builds the d^2 x d^2 square only for its SVD when r^2
 is repeated; the ``kron-digraph`` primitivity route is Wielandt's boolean
 power test.  Both are checked here against the full-square eigenvalues and
 SVD and against Tarjan on the product digraph (``tests/helpers.py``).
+``Spectrum.kron_r2_pair`` certifies the exact pair modulo a prime and runs
+the exact kernel chain of the square only when the certificate fails; it
+is checked against that chain on every map.
 """
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from conemix import Orthant, classify, from_matrix, from_stochastic
+import conemix.linalg as la
+from conemix import Orthant, Polyhedral, ZeroSpectralRadiusError, classify, \
+    from_matrix, from_stochastic
 from conemix.classify import _wielandt_primitive, primitive_routes
-from conemix.linalg import FLOAT_MODE
+from conemix.linalg import FLOAT_MODE, MultiplicityPair
 from helpers import (
     CHAIN_KINDS,
     random_chain,
     random_dense_stochastic,
+    random_exact_chain,
     random_kraus_channel,
+    random_stochastic_exact,
     reference_kron_digraph_connected,
     reference_kron_peak_pair,
+    reference_kron_r2_pair,
+    route_corpus,
 )
 
 SCALES = (0.1, 1.0, 10.0)
@@ -134,3 +145,123 @@ def test_repeated_peak_still_runs_the_square_svd(kron_calls):
     assert rep.multiplicity_r2_kron == (2, 2)
     assert "_kron_shift_sv" in vars(a.spectrum)
     assert kron_calls == [(2, 2)]
+
+
+# ---------------------------------------------------------------------------
+# the exact pair: modular certificate, exact kernel chain as the fallback
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def chain_sizes(monkeypatch):
+    """Row counts of the matrices ``_kernel_chain`` runs on."""
+    sizes = []
+    chain = la._kernel_chain
+
+    def counting(m, lam):
+        sizes.append(len(m))
+        return chain(m, lam)
+
+    monkeypatch.setattr(la, "_kernel_chain", counting)
+    return sizes
+
+
+def _pair_and_fallback(a, sizes):
+    """kron_r2_pair of a fresh map, and whether it ran the chain of the
+    d^2 x d^2 square."""
+    sizes.clear()
+    pair = a.spectrum.kron_r2_pair
+    return pair, a.dim > 1 and a.dim ** 2 in sizes
+
+
+def test_kron_r2_pair_matches_chain_on_route_corpus(chain_sizes):
+    certified = fell_back = 0
+    for name, a in route_corpus():
+        if a.exact is None:
+            continue
+        try:
+            a.spectrum.positive_r()
+        except ZeroSpectralRadiusError:
+            continue
+        pair, fallback = _pair_and_fallback(a, chain_sizes)
+        assert pair == reference_kron_r2_pair(a), name
+        certified += a.spectrum.r_exact is not None and not fallback
+        fell_back += fallback
+    assert certified >= 60 and fell_back >= 2
+
+
+def test_kron_r2_pair_matches_chain_on_exact_chains(chain_sizes):
+    rng = np.random.default_rng(75)
+    certified = fell_back = 0
+    for kind in CHAIN_KINDS:
+        for d in range(3, 10):
+            rows = random_exact_chain(rng, d, kind)
+            for a in (from_stochastic(rows),
+                      from_matrix([list(c) for c in zip(*rows)], Orthant(d))):
+                pair, fallback = _pair_and_fallback(a, chain_sizes)
+                assert pair == reference_kron_r2_pair(a), (kind, d)
+                certified += not fallback
+                fell_back += fallback
+    # the periodic chains of odd period have peripheral eigenvalues other
+    # than +-r, so they fall back
+    assert certified >= 50 and fell_back >= 6
+
+
+SQUARE = Polyhedral([[1, 1, 0], [1, -1, 0], [1, 0, 1], [1, 0, -1]])
+SEVENTHS = [[Fraction(3, 7), Fraction(1, 2)], [Fraction(4, 7), Fraction(1, 2)]]
+
+
+@pytest.mark.parametrize("a, expected, prime", [
+    (from_stochastic([[0, 0, 1], [1, 0, 0], [0, 1, 0]]), (3, 3), None),
+    (from_matrix([[1, 0, 0], [0, 0, -1], [0, 1, 0]], SQUARE), (3, 3), None),
+    (from_matrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]], Orthant(3)), (5, 9),
+     None),
+    (from_matrix([[1, 0], [1, 1]], Orthant(2)), (2, 4), None),
+    (from_matrix([[1, 0, 0], [0, -1, 1], [0, 0, -1]], Orthant(3)), (3, 5),
+     None),
+    (from_stochastic(SEVENTHS), (1, 1), 7),
+], ids=["period-3-cycle", "square-rotation", "jordan-block-at-r", "shear",
+        "jordan-block-at-minus-r", "prime-divides-denominator"])
+def test_failed_certificates_fall_back_to_the_chain(monkeypatch, chain_sizes,
+                                                    a, expected, prime):
+    if prime is not None:
+        monkeypatch.setattr(la, "_PRIME", prime)
+    pair, fallback = _pair_and_fallback(a, chain_sizes)
+    assert fallback
+    assert pair == reference_kron_r2_pair(a) == MultiplicityPair(*expected)
+
+
+@pytest.mark.parametrize("a, expected", [
+    (from_stochastic([[0, 1], [1, 0]]), (2, 2)),  # -r is an eigenvalue
+    (from_stochastic(SEVENTHS), (1, 1)),
+    (from_matrix(np.diag([2, -2, 2, -2]).tolist(), Orthant(4)), (8, 8)),
+], ids=["swap", "sevenths", "diag(2,-2,2,-2)"])
+def test_certificate_holds_without_the_chain(chain_sizes, a, expected):
+    pair, fallback = _pair_and_fallback(a, chain_sizes)
+    assert not fallback
+    assert pair == reference_kron_r2_pair(a) == MultiplicityPair(*expected)
+
+
+@pytest.fixture
+def echelon_rows(monkeypatch):
+    """Row counts of the matrices the exact eliminator runs on."""
+    rows = []
+    echelon = la._echelon
+
+    def counting(m):
+        rows.append(len(m))
+        return echelon(m)
+
+    monkeypatch.setattr(la, "_echelon", counting)
+    return rows
+
+
+def test_certified_exact_chain_eliminates_no_square(echelon_rows):
+    rng = np.random.default_rng(76)
+    a = from_stochastic(random_stochastic_exact(rng, 7))
+    rep = classify(a)
+    assert rep.multiplicity_r2_kron == (1, 1)
+    assert echelon_rows and max(echelon_rows) <= 7
+    # the guard is not vacuous: a failed certificate eliminates the square
+    echelon_rows.clear()
+    classify(from_stochastic([[0, 0, 1], [1, 0, 0], [0, 1, 0]]))
+    assert max(echelon_rows) == 9

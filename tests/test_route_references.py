@@ -3,8 +3,10 @@
 ``_stationary`` builds the pair once, in the map's own arithmetic, and the
 interior-pair, binomial-power and reachability routes all decide through
 ``_margin_probe``.  The references in ``tests/helpers.py`` keep the
-earlier separate exact and float builds of the pair and the float
-reachability route with one matrix-vector product per generator per step.
+earlier separate exact and float builds of the pair, the float
+reachability route with one matrix-vector product per generator per step,
+and the exact generator routes over Fractions, where the routes run on
+integer multiples of the map and the generators.
 """
 
 from fractions import Fraction
@@ -13,9 +15,10 @@ import numpy as np
 
 from conemix import FLOAT_MODE, NotErgodicError, UnsupportedConeOperation, \
     ZeroSpectralRadiusError
-from conemix.classify import _interior_pair_route, _reachability_route, \
-    _stationary
-from helpers import reference_interior_pair, reference_reachability_float, \
+from conemix.classify import _binomial_power_route, _interior_pair_route, \
+    _reachability_route, _stationary
+from helpers import reference_generator_routes_exact, \
+    reference_interior_pair, reference_reachability_float, \
     reference_stationary_exact, reference_stationary_float, route_corpus
 
 NO_SIGN = "no sign of the Perron eigenvector lies in the cone"
@@ -106,3 +109,23 @@ def test_float_reachability_matches_reference():
             (ref.value, ref.exact, ref.marginal), name
         checked += 1
     assert checked >= 300
+
+
+def test_exact_generator_routes_match_fraction_reference():
+    checked = 0
+    seen = set()
+    for name, a in route_corpus():
+        if a.exact is None:
+            continue
+        try:
+            gens = a.cone.exact_extremal_generators()
+            duals = a.cone.exact_dual_generators()
+        except UnsupportedConeOperation:
+            continue
+        ours = (_binomial_power_route(a, gens, FLOAT_MODE).value,
+                _reachability_route(a, gens, duals, FLOAT_MODE).value)
+        assert ours == reference_generator_routes_exact(a, gens, duals), name
+        seen.add(ours)
+        checked += 1
+    assert checked >= 200
+    assert {(True, True), (False, False)} <= seen
