@@ -5,23 +5,26 @@ Exact matrices are stored as lists of rows of ``fractions.Fraction``, and
 program to them.  One fraction-free Gauss-Jordan elimination (``_echelon``)
 over cleared-denominator integers gives ranks, kernel bases and, through
 kernel chains, multiplicities; every exact product is numpy's operator on
-an object array of Fractions.  The d^2 x d^2 Kronecker square is first
+an object array of Fractions.  The exact d^2 x d^2 Kronecker square is first
 eliminated modulo a prime, in int64: a kernel no larger than a known lower
 bound certifies its exact multiplicities, and ``_echelon`` runs on it only
 when that certificate fails.
 :class:`Spectrum` owns every spectral fact of one map, float (eigenvalues,
 singular values, peak counts) and exact (the kernel chain at the radius,
 the certified pair at r^2 on the square), and decides when the radius
-counts as zero.
+counts as zero.  The float facts of the Kronecker square come from d x d
+objects only: the products of A's eigenvalues and the rank profiles of
+shifts of A at its peripheral eigenvalue clusters.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -326,21 +329,24 @@ def chain_pair(chain: list) -> "MultiplicityPair":
 # the spectrum of one map
 # ---------------------------------------------------------------------------
 
-def _float_pair(offsets: np.ndarray, shift_sv: Callable[[], np.ndarray],
-                scale: float, mode: ScalarMode) -> MultiplicityPair:
-    """Float multiplicities of ``lam`` from the eigenvalues minus ``lam``
-    (algebraic: those within ``eps_cluster``) and the singular values of
-    ``m - lam I`` (geometric: those at most ``eps_rank`` times the largest
-    or ``scale``, clamped to ``[1, algebraic]``).  ``shift_sv()`` gives
-    those singular values; it is called only when the algebraic count is 2
-    or more, since the clamp fixes a count of 0 or 1.
-    """
-    algebraic = int(np.count_nonzero(np.abs(offsets) <= mode.eps_cluster))
-    if algebraic <= 1:
-        return MultiplicityPair(algebraic, algebraic)
-    sv = shift_sv()
+def _float_pair(algebraic: int, sv: np.ndarray, scale: float,
+                mode: ScalarMode) -> MultiplicityPair:
+    """Float multiplicities from an algebraic count and the singular values
+    of the shifted matrix: geometric counts those at most ``eps_rank`` times
+    the largest or ``scale``, clamped to ``[1, algebraic]``."""
     geometric = int(np.count_nonzero(sv <= mode.eps_rank * max(sv[0], scale)))
     return MultiplicityPair(max(1, min(geometric, algebraic)), algebraic)
+
+
+def _cluster_labels(close: np.ndarray) -> np.ndarray:
+    """For each index, the first index of its connected component in the
+    symmetric relation ``close``: the transitive closure, by squaring the
+    adjacency matrix until it stops growing."""
+    while True:
+        grown = (close.astype(float) @ close) > 0
+        if np.array_equal(grown, close):
+            return np.argmax(close, axis=1)
+        close = grown
 
 
 class Spectrum:
@@ -348,18 +354,21 @@ class Spectrum:
 
     No fact depends on a :class:`ScalarMode`: readers compare these numbers
     against their own tolerances.  The ``kron`` facts belong to the
-    normalized Kronecker square ``A (x) A / r^2``.  Its eigenvalues are the
-    products of A's, so only the singular values of ``A (x) A / r^2 - I``
-    need the d^2 x d^2 square, and they are computed only when r^2 is a
-    repeated eigenvalue of it.  ``chain_r`` is an exact kernel chain (see
-    ``_kernel_chain``), empty without a verified rational radius;
-    ``kron_r2_pair`` is certified modulo a prime, with the exact kernel
-    chain of the square as the fallback.
+    normalized Kronecker square ``A (x) A / r^2``, which is never formed in
+    float: its eigenvalues are the products of A's, and its geometric
+    multiplicity at 1 follows from the Jordan structure of A at the
+    eigenvalue clusters whose products reach 1.  The singular values of the
+    powers of ``A/r - lam I`` at those clusters are cached per cluster, and
+    only clusters of two or more eigenvalues need them.  ``chain_r`` is an
+    exact kernel chain (see ``_kernel_chain``), empty without a verified
+    rational radius; ``kron_r2_pair`` is certified modulo a prime, with the
+    exact kernel chain of the square as the fallback.
     """
 
     def __init__(self, matrix: np.ndarray, exact: ExactMatrix | None = None):
         self.matrix = matrix
         self.exact = exact
+        self._cluster_sv = {}
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
@@ -392,26 +401,119 @@ class Spectrum:
         return np.linalg.svd(self.matrix / self.r - np.eye(d),
                              compute_uv=False)
 
-    @cached_property
-    def _kron_shift_sv(self) -> np.ndarray:
-        """Singular values of the normalized Kronecker square minus I."""
-        big = np.kron(self.matrix, self.matrix) / (self.r * self.r)
-        big[np.diag_indices_from(big)] -= 1.0
-        return np.linalg.svd(big, compute_uv=False)
-
     def peak_pair(self, mode: ScalarMode) -> MultiplicityPair:
-        """Float multiplicities of r at mode's tolerances."""
-        return _float_pair(self.eigenvalues / self.r - 1.0,
-                           lambda: self._shift_sv, self.norm2 / self.r + 1.0,
-                           mode)
+        """Float multiplicities of r at mode's tolerances: algebraic, the
+        eigenvalues within ``eps_cluster`` of r; geometric, ``_float_pair``
+        of the singular values of ``A/r - I``.  They are computed only when
+        the algebraic count is 2 or more, since the clamp fixes a count of
+        0 or 1."""
+        algebraic = int(np.count_nonzero(
+            np.abs(self.eigenvalues / self.r - 1.0) <= mode.eps_cluster))
+        if algebraic <= 1:
+            return MultiplicityPair(algebraic, algebraic)
+        return _float_pair(algebraic, self._shift_sv,
+                           self.norm2 / self.r + 1.0, mode)
 
     def kron_peak_pair(self, mode: ScalarMode) -> MultiplicityPair:
-        """Float multiplicities of r^2 on the Kronecker square; its
-        eigenvalues are the d^2 products of A's."""
+        """Float multiplicities of r^2 on the Kronecker square, from d x d
+        objects only.
+
+        Its eigenvalues are the d^2 products of A's, and the algebraic count
+        is the products within ``eps_cluster`` of r^2.  For the geometric
+        count, the eigenvalues of A/r are grouped into clusters (connected
+        at distance ``eps_cluster``), and the clusters holding a factor of
+        such a product are kept.  A cluster keeps every eigenvalue near it,
+        because rounding splits a defective eigenvalue into several, and
+        a split partner whose products miss ``eps_cluster`` still belongs to
+        its Jordan block.  A pair of Jordan blocks ``J_p(lam)``, ``J_q(mu)``
+        gives ``min(p, q)`` blocks at ``lam mu`` (Horn & Johnson, *Topics in
+        Matrix Analysis*, ch. 4), so two clusters with a product near 1 add
+        ``sum_k n_k(C) n_k(C')``, for ``n_k`` the rank profile of
+        ``_rank_profile``.  When both are numerically semisimple (profile
+        ``[|C|]``), the products of the algebraic count that are also within
+        ``eps_rank ((||A||/r)^2 + 1)`` of 1 are counted instead: the cutoff
+        of the singular values of the square, which for a normal A are
+        exactly those offsets.  The count is clamped to ``[1, algebraic]``
+        and taken only when the algebraic count is 2 or more.
+        """
+        near = self._kron_offsets <= mode.eps_cluster
+        algebraic = int(np.count_nonzero(near))
+        if algebraic <= 1:
+            return MultiplicityPair(algebraic, algebraic)
+        label = _cluster_labels(self._eigen_gaps <= mode.eps_cluster)
+        sizes = np.bincount(label)
+        kept = np.flatnonzero(np.bincount(label[near.any(axis=1)],
+                                          minlength=len(label)))
+        semisimple = np.ones(len(label), dtype=bool)
+        defective = {}
+        for c in kept[sizes[kept] > 1]:
+            members = np.flatnonzero(label == c)
+            profile = self._rank_profile(members, mode)
+            if profile != [len(members)]:
+                semisimple[members] = False
+                defective[c] = profile
+        cutoff = mode.eps_rank * ((self.norm2 / self.r) ** 2 + 1.0)
+        geometric = int(np.count_nonzero(
+            near & (self._kron_offsets <= cutoff)
+            & np.multiply.outer(semisimple, semisimple)))
+        if defective:
+            profiles = {c: defective.get(c, [sizes[c]]) for c in kept}
+            for c, c2 in itertools.product(kept, repeat=2):
+                if (c in defective or c2 in defective) \
+                        and near[np.ix_(label == c, label == c2)].any():
+                    geometric += sum(x * y for x, y in zip(profiles[c],
+                                                           profiles[c2]))
+        return MultiplicityPair(max(1, min(geometric, algebraic)), algebraic)
+
+    @cached_property
+    def _kron_offsets(self) -> np.ndarray:
+        """``|lam_i lam_j - 1|`` over the eigenvalues of A/r."""
         ev = self.eigenvalues / self.r
-        return _float_pair(np.multiply.outer(ev, ev) - 1.0,
-                           lambda: self._kron_shift_sv,
-                           (self.norm2 / self.r) ** 2 + 1.0, mode)
+        return np.abs(np.multiply.outer(ev, ev) - 1.0)
+
+    @cached_property
+    def _eigen_gaps(self) -> np.ndarray:
+        """``|lam_i - lam_j|`` over the eigenvalues of A/r."""
+        ev = self.eigenvalues / self.r
+        return np.abs(ev[:, None] - ev[None, :])
+
+    def _rank_profile(self, members: np.ndarray, mode: ScalarMode) -> list:
+        """``[n_1, n_2, ...]`` for the cluster of eigenvalues ``members`` of
+        A/r: ``n_k = dim ker B^k - dim ker B^(k-1)`` is the number of its
+        Jordan blocks of size k or more, for ``B = A/r - lam I`` and lam the
+        cluster mean.  ``dim ker B^k`` counts the singular values of B^k at
+        most ``eps_cluster (||A||/r + 1)^k``, up to the cluster size; the
+        profile stops when it stops growing."""
+        size = len(members)
+        scale = self.norm2 / self.r + 1.0
+        profile, dim = [], 0
+        for k in range(1, size + 1):
+            sv = self._power_sv(tuple(members), k)
+            grown = min(size, int(np.count_nonzero(
+                sv <= mode.eps_cluster * scale ** k)))
+            if grown <= dim:
+                break
+            profile.append(grown - dim)
+            dim = grown
+            if dim == size:
+                break
+        return profile
+
+    def _power_sv(self, members: tuple, k: int) -> np.ndarray:
+        """Singular values of ``B^k`` for ``B = A/r - lam I``, lam the mean of
+        the eigenvalues ``members`` of A/r; cached per cluster, so every
+        tolerance probe reads one set of SVDs."""
+        svs = self._cluster_sv.setdefault(members, [])
+        if len(svs) < k:
+            lam = np.mean(self.eigenvalues[list(members)]) / self.r
+            b = self.matrix / self.r - lam * np.eye(len(self.matrix))
+            power = np.linalg.matrix_power(b, len(svs) + 1)
+            while True:
+                svs.append(np.linalg.svd(power, compute_uv=False))
+                if len(svs) == k:
+                    break
+                power = power @ b
+        return svs[k - 1]
 
     @cached_property
     def perron_vectors(self) -> tuple:

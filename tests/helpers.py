@@ -183,20 +183,31 @@ def random_chain(rng, d, kind):
     return m / m.sum(axis=0)
 
 
-def reference_kron_peak_pair(matrix, mode):
-    """Float multiplicities of r^2 on ``A (x) A``, from the eigenvalues and
-    singular values of the full d^2 x d^2 square."""
+def reference_kron_square(matrix):
+    """Float multiplicities of r^2 on ``A (x) A`` as a function of the mode,
+    from the eigenvalues and singular values of the full d^2 x d^2 square,
+    each computed once."""
     r = float(np.max(np.abs(np.linalg.eigvals(matrix))))
     big = np.kron(matrix, matrix) / (r * r)
     ev = np.linalg.eigvals(big)
     big[np.diag_indices_from(big)] -= 1.0
     sv = np.linalg.svd(big, compute_uv=False)
-    algebraic = int(np.count_nonzero(np.abs(ev - 1.0) <= mode.eps_cluster))
-    if algebraic == 0:
-        return MultiplicityPair(0, 0)
     scale = (float(np.linalg.norm(matrix, 2)) / r) ** 2 + 1.0
-    geometric = int(np.count_nonzero(sv <= mode.eps_rank * max(sv[0], scale)))
-    return MultiplicityPair(max(1, min(geometric, algebraic)), algebraic)
+
+    def pair(mode):
+        algebraic = int(np.count_nonzero(np.abs(ev - 1.0) <= mode.eps_cluster))
+        if algebraic == 0:
+            return MultiplicityPair(0, 0)
+        geometric = int(np.count_nonzero(
+            sv <= mode.eps_rank * max(sv[0], scale)))
+        return MultiplicityPair(max(1, min(geometric, algebraic)), algebraic)
+
+    return pair
+
+
+def reference_kron_peak_pair(matrix, mode):
+    """``reference_kron_square`` at one mode."""
+    return reference_kron_square(matrix)(mode)
 
 
 def random_exact_chain(rng, d, kind):

@@ -1,10 +1,11 @@
 """The Kronecker-square facts against full-square references.
 
 ``Spectrum.kron_peak_pair`` counts eigenvalues of ``A (x) A`` from the
-products of A's and builds the d^2 x d^2 square only for its SVD when r^2
-is repeated; the ``kron-digraph`` primitivity route is Wielandt's boolean
-power test.  Both are checked here against the full-square eigenvalues and
-SVD and against Tarjan on the product digraph (``tests/helpers.py``).
+products of A's and its geometric multiplicity from the rank profiles of
+d x d shifts of A, never forming the d^2 x d^2 square; the
+``kron-digraph`` primitivity route is Wielandt's boolean power test.  Both
+are checked here against the full-square eigenvalues and SVD and against
+Tarjan on the product digraph (``tests/helpers.py``).
 ``Spectrum.kron_r2_pair`` certifies the exact pair modulo a prime and runs
 the exact kernel chain of the square only when the certificate fails; it
 is checked against that chain on every map.
@@ -30,6 +31,7 @@ from helpers import (
     reference_kron_digraph_connected,
     reference_kron_peak_pair,
     reference_kron_r2_pair,
+    reference_kron_square,
     route_corpus,
 )
 
@@ -71,6 +73,140 @@ def test_kron_peak_pair_matches_full_square():
                     reference_kron_peak_pair(a.matrix, mode), (name, factor)
                 checked += 1
     assert checked >= 3 * (200 + 13 + 4)
+
+
+def larger_float_chain_corpus():
+    rng = np.random.default_rng(77)
+    for kind in ("periodic", "multi", "transient-periodic"):
+        for d in range(13, 26, 2):
+            m = random_chain(rng, d, kind)
+            yield f"{kind}:{d}", from_stochastic(m)
+            yield f"{kind}:{d}:T", from_matrix(
+                rng.uniform(0.5, 4.0) * m.T, Orthant(d))
+
+
+def unitary_channel_corpus():
+    rng = np.random.default_rng(78)
+    for h in (2, 3, 4):
+        for k in range(2):
+            yield f"unitary:{h}:{k}", random_kraus_channel(rng, h, 1)
+
+
+def near_tie_corpus():
+    # a near-identity pair beside a closed class of its own: three
+    # eigenvalues within eps_cluster of r, one cluster of them
+    for e in (3e-8, 1e-9, 2e-7, 5e-8):
+        m = np.eye(3)
+        m[:2, :2] = [[1 - e, e], [e, 1 - e]]
+        yield f"near-tie:{e}", from_stochastic(m)
+
+
+def test_kron_peak_pair_matches_full_square_on_repeated_peaks():
+    # r^2 is a repeated eigenvalue of the square of every one of these
+    # maps, so the geometric count always runs
+    checked = repeated = 0
+    for corpus in (larger_float_chain_corpus, unitary_channel_corpus,
+                   near_tie_corpus):
+        for name, a in corpus():
+            reference = reference_kron_square(a.matrix)
+            for factor in SCALES:
+                mode = FLOAT_MODE.scaled(factor)
+                pair = a.spectrum.kron_peak_pair(mode)
+                assert pair == reference(mode), (name, factor)
+                repeated += pair.algebraic >= 2
+                checked += 1
+    assert checked == 3 * (42 + 6 + 4) and repeated == checked
+
+
+JORDAN_J2 = [[1, 1], [0, 1]]
+JORDAN_J2_NEG = [[-1, 1], [0, -1]]
+
+
+def _block_diag(*blocks):
+    d = sum(len(b) for b in blocks)
+    m = np.zeros((d, d), dtype=int)
+    at = 0
+    for b in blocks:
+        m[at:at + len(b), at:at + len(b)] = b
+        at += len(b)
+    return m.tolist()
+
+
+@pytest.mark.parametrize("matrix, expected", [
+    ([[1, 0], [1, 1]], (2, 4)),
+    (_block_diag(JORDAN_J2, [[1]]), (5, 9)),
+    (_block_diag(JORDAN_J2, [[1]], [[1]]), (10, 16)),
+    (_block_diag([[1]], JORDAN_J2_NEG), (3, 5)),
+    ([[1, 1, 0], [0, 1, 1], [0, 0, 1]], (3, 9)),
+    (_block_diag(JORDAN_J2, JORDAN_J2_NEG), (4, 8)),
+    (_block_diag([[2, 1], [0, 2]], [[-2, 1], [0, -2]], [[1]]), (4, 8)),
+], ids=["shear", "J2(1)+1", "J2(1)+1+1", "1+J2(-1)", "J3(1)", "J2(1)+J2(-1)",
+        "J2(2)+J2(-2)+1"])
+def test_kron_peak_pair_counts_jordan_blocks(matrix, expected):
+    # defective peaks take the rank-profile count: J_p(lam) (x) J_q(mu)
+    # has min(p, q) blocks at lam mu
+    a = from_matrix(np.array(matrix, dtype=float), Orthant(len(matrix)))
+    reference = reference_kron_square(a.matrix)
+    exact = reference_kron_r2_pair(from_matrix(matrix, Orthant(len(matrix))))
+    assert exact == expected
+    for factor in SCALES:
+        mode = FLOAT_MODE.scaled(factor)
+        assert a.spectrum.kron_peak_pair(mode) == reference(mode) == expected
+    assert a.spectrum._cluster_sv
+
+
+def _conjugates(matrix, seed, count=40):
+    rng = np.random.default_rng(seed)
+    d = len(matrix)
+    for _ in range(count):
+        s = rng.standard_normal((d, d))
+        yield from_matrix(s @ np.array(matrix, dtype=float) @ np.linalg.inv(s),
+                          Orthant(d))
+
+
+@pytest.mark.parametrize("matrix, expected", [
+    ([[1, 0], [1, 1]], (2, 4)),
+    (_block_diag(JORDAN_J2, [[1]]), (5, 9)),
+    (_block_diag(JORDAN_J2, JORDAN_J2_NEG), (4, 8)),
+], ids=["shear", "J2(1)+1", "J2(1)+J2(-1)"])
+def test_kron_peak_pair_on_conjugated_jordan_blocks(matrix, expected):
+    # rounding splits a conjugated Jordan block into eigenvalues about
+    # 1e-8 apart, near eps_cluster.  The count never exceeds the exact one,
+    # and whenever the products still give the whole algebraic count, the
+    # rank profiles give the exact geometric count.  (1 (+) J2(-1) is left
+    # out: its simple peak is normalized by the split cluster's modulus, so
+    # its square misses the eps_rank cutoff, as it does in the full-square
+    # SVD.)
+    whole = 0
+    for a in _conjugates(matrix, 81, 60):
+        for factor in SCALES:
+            pair = a.spectrum.kron_peak_pair(FLOAT_MODE.scaled(factor))
+            assert 1 <= pair.geometric <= min(pair.algebraic, expected[0])
+            if pair.algebraic == expected[1]:
+                assert pair == expected, factor
+                whole += 1
+    assert whole >= 40
+
+
+@pytest.mark.parametrize("matrix", [
+    [[1, 0], [1, 1]],
+    _block_diag(JORDAN_J2, [[1]]),
+    _block_diag([[1]], JORDAN_J2_NEG),
+    [[1, 1, 0], [0, 1, 1], [0, 0, 1]],
+], ids=["shear", "J2(1)+1", "1+J2(-1)", "J3(1)"])
+def test_conjugated_jordan_block_never_reads_as_mixing(matrix):
+    # once the products give r^2 twice or more, the split partners of a
+    # defective peak stay in its cluster, so the count is never 1.
+    # (J2(1) (+) J2(-1) is left out: at the tightest probe, both of its
+    # clusters can split into simple eigenvalues.)
+    repeated = 0
+    for a in _conjugates(matrix, 82):
+        for factor in SCALES:
+            pair = a.spectrum.kron_peak_pair(FLOAT_MODE.scaled(factor))
+            if pair.algebraic >= 2:
+                assert pair.geometric >= 2, factor
+                repeated += 1
+    assert repeated >= 40
 
 
 def test_kron_digraph_route_matches_product_digraph():
@@ -126,6 +262,20 @@ def kron_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def svd_rows(monkeypatch):
+    """Row counts of the matrices ``np.linalg.svd`` runs on."""
+    rows = []
+    svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        rows.append(len(args[0]))
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return rows
+
+
 def test_primitive_maps_build_no_kronecker_square(kron_calls):
     rng = np.random.default_rng(74)
     maps = [random_dense_stochastic(rng, 10), random_kraus_channel(rng, 3, 4)]
@@ -133,18 +283,32 @@ def test_primitive_maps_build_no_kronecker_square(kron_calls):
     for a in maps:
         rep = classify(a)
         assert rep.mixing and rep.multiplicity_r2_kron == (1, 1)
-        assert "_kron_shift_sv" not in vars(a.spectrum)
     assert kron_calls == []
 
 
-def test_repeated_peak_still_runs_the_square_svd(kron_calls):
-    # the swap chain has r^2 = 1 twice on its square: geometric needs the
-    # SVD, so the guard above is not vacuous
-    a = from_stochastic(np.array([[0.0, 1.0], [1.0, 0.0]]))
+@pytest.mark.parametrize("matrix", [
+    [[0.0, 1.0], [1.0, 0.0]],
+    [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+    random_chain(np.random.default_rng(79), 20, "periodic"),
+], ids=["swap", "period-3-cycle", "periodic-20"])
+def test_repeated_peak_builds_no_kronecker_square(kron_calls, svd_rows,
+                                                  matrix):
+    # r^2 is a repeated eigenvalue of the square on all three, so the
+    # geometric count runs
+    a = from_stochastic(np.array(matrix))
     rep = classify(a)
-    assert rep.multiplicity_r2_kron == (2, 2)
-    assert "_kron_shift_sv" in vars(a.spectrum)
-    assert kron_calls == [(2, 2)]
+    assert not rep.mixing
+    assert min(rep.multiplicity_r2_kron) >= 2
+    assert kron_calls == []
+    assert max(svd_rows, default=0) <= a.dim
+
+
+def test_svd_guard_sees_rank_profiles(svd_rows):
+    # the guard above is not vacuous: a repeated eigenvalue at r (two
+    # closed classes) takes the d x d SVDs of its rank profile
+    a = from_stochastic(random_chain(np.random.default_rng(80), 12, "multi"))
+    assert classify(a).multiplicity_r2_kron.geometric >= 4
+    assert a.spectrum._cluster_sv and max(svd_rows) == a.dim
 
 
 # ---------------------------------------------------------------------------

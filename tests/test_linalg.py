@@ -184,10 +184,9 @@ def test_kernel_dim_scale_anchor():
     # singular values of a shift that is rounding noise read as a full
     # kernel once the cutoff is anchored to the scale of the matrices the
     # shift came from; a purely relative cutoff sees full rank
-    def noise():
-        return np.full(4, 1e-16)
-    assert la._float_pair(np.zeros(4), noise, 1.0, la.FLOAT_MODE) == (4, 4)
-    assert la._float_pair(np.zeros(4), noise, 0.0, la.FLOAT_MODE) == (1, 4)
+    noise = np.full(4, 1e-16)
+    assert la._float_pair(4, noise, 1.0, la.FLOAT_MODE) == (4, 4)
+    assert la._float_pair(4, noise, 0.0, la.FLOAT_MODE) == (1, 4)
 
 
 def test_scalar_mode_validation():
