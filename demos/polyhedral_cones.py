@@ -20,8 +20,8 @@ from conemix import (
 )
 
 # The cone spanned by [1, 0] and [1, 1]: a 45-degree wedge.  Construction
-# enumerates the dual cone's extreme rays exactly; membership afterwards
-# is a dot-product loop.
+# enumerates the dual cone's extreme rays exactly; an exact membership
+# query afterwards is one integer product with those rays.
 wedge = Polyhedral([[1, 0], [1, 1]])
 print("wedge dual rays:", [list(map(int, y))
                            for y in wedge.exact_dual_generators()])

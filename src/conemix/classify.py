@@ -472,8 +472,12 @@ def irreducible_routes(a: DynMap, mode: ScalarMode = FLOAT_MODE) -> dict:
     routes = {}
     routes["interior-pair"] = _interior_pair_route(a, ergodic, mode)
     try:
-        gens = a.cone.exact_extremal_generators()
-        dual_gens = a.cone.exact_dual_generators()
+        if a.exact is None:
+            gens = a.cone.extremal_generators()
+            dual_gens = a.cone.dual_generators()
+        else:
+            gens = a.cone.exact_extremal_generators()
+            dual_gens = a.cone.exact_dual_generators()
     except UnsupportedConeOperation:
         pass
     else:

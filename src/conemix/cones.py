@@ -9,7 +9,8 @@ Four cone families are supported:
   (self-dual).  ``h`` is capped at ``Psd.MAX_H``.
 * ``Polyhedral(generators)`` -- the conic hull of finitely many vectors.
   Construction enumerates the extreme rays of the dual cone exactly (over
-  rationals), after which every membership query is a dot-product loop.
+  rationals) and keeps them, and the generators, as primitive integer
+  rays: every exact query is then one matrix product of Python ints.
   Its ``dual()`` reuses those rays: no second enumeration runs.
 * ``TensorCone(left, right)`` -- the minimal tensor-product cone, i.e. the
   conic hull of pairwise products.  Fully supported for orthant/polyhedral
@@ -24,7 +25,8 @@ Four cone families are supported:
   capped at ``TensorCone.MAX_POLYHEDRAL_DIM``.
 
 A cone's exact extreme rays and exact dual rays are the one source of its
-other facts: ``extremal_generators()`` is their float copy, and
+other facts: ``extremal_generators()`` and ``dual_generators()`` are
+their float copies (the orthant answers identity rows directly), and
 ``exact_default_unit()`` the sum of the dual rays, and ``default_unit()``
 its float copy (the orthant answers its all-ones sum directly; PSD and
 tensor cones keep their identity and product units; a tensor cone of
@@ -47,6 +49,8 @@ import numpy as np
 from .linalg import (
     FLOAT_MODE,
     ScalarMode,
+    _integer_multiple,
+    _integer_rows,
     as_exact,
     exact_kernel_basis,
     exact_rank,
@@ -81,20 +85,9 @@ class InvalidUnitError(ValueError):
 
 def _primitive(vec):
     """Scale a rational vector to a primitive integer vector (same sign)."""
-    lcm = 1
-    for v in vec:
-        lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
-    ints = [int(v * lcm) for v in vec]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    return ints
-
-
-def _dot_exact(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    ints = _integer_rows([vec])[0]
+    g = math.gcd(*ints)
+    return [v // g for v in ints] if g > 1 else ints
 
 
 class Cone:
@@ -121,8 +114,11 @@ class Cone:
 
     def extremal_generators(self) -> list:
         """Float copies of :meth:`exact_extremal_generators`, same order."""
-        return [np.array([float(v) for v in g])
-                for g in self.exact_extremal_generators()]
+        return _float_rows(self.exact_extremal_generators())
+
+    def dual_generators(self) -> list:
+        """Float copies of :meth:`exact_dual_generators`, same order."""
+        return _float_rows(self.exact_dual_generators())
 
     def exact_extremal_generators(self) -> list:
         """Extreme rays over Fractions; raises where no finite list exists."""
@@ -146,6 +142,10 @@ class Cone:
     def default_unit(self) -> np.ndarray:
         """Float copy of :meth:`exact_default_unit`."""
         return np.array(self.exact_default_unit(), dtype=float)
+
+
+def _float_rows(rows) -> list:
+    return [np.array([float(v) for v in r]) for r in rows]
 
 
 def validate_unit(cone: Cone, u, mode: ScalarMode = FLOAT_MODE) -> np.ndarray:
@@ -190,6 +190,11 @@ class Orthant(Cone):
 
     def dual(self):
         return self  # self-dual
+
+    def extremal_generators(self):
+        return list(np.eye(self.dim))
+
+    dual_generators = extremal_generators
 
     def exact_extremal_generators(self):
         one, zero = Fraction(1), Fraction(0)
@@ -300,8 +305,10 @@ class Polyhedral(Cone):
 
     The constructor verifies that the generators span the ambient space and
     that the cone is pointed, and enumerates the extreme rays of the dual
-    cone exactly.  After that, ``contains`` is a dot-product loop against
-    the dual rays and ``dual_contains`` against the generators.
+    cone exactly.  The generators and dual rays are kept as primitive
+    integer rows, so an exact ``contains`` is the signs of one product of
+    the dual rays with an integer multiple of the vector, and an exact
+    ``dual_contains`` the same against the generators.
     """
 
     #: guard against combinatorial blow-up of dual-ray enumeration
@@ -318,16 +325,18 @@ class Polyhedral(Cone):
             raise ValueError("all generators are zero")
         gens = [g for g in gens if any(v != 0 for v in g)]
         self.dim = d
-        if exact_rank(gens) != d:
+        ints = [_primitive(g) for g in gens]
+        if exact_rank(ints) != d:
             raise ValueError("generators do not span the ambient space; "
                              "the cone would have empty interior")
-        self._set_rays(gens, self._enumerate_dual_rays(gens, d))
+        self._set_rays(gens, self._enumerate_dual_rays(ints, d))
         self._extremal = self._minimal_generators()
 
     @classmethod
     def _from_rays(cls, extremal, dual_rays):
-        """The cone with these exact extreme rays and spanning primitive
-        dual rays, which the caller vouches for: no enumeration runs."""
+        """The cone with these exact extreme rays and spanning dual rays,
+        primitive integer rows, which the caller vouches for: no
+        enumeration runs."""
         cone = object.__new__(cls)
         cone.dim = len(extremal[0])
         cone._set_rays(extremal, dual_rays)
@@ -335,8 +344,13 @@ class Polyhedral(Cone):
         return cone
 
     def _set_rays(self, gens, dual_rays):
-        """Keep the generators and dual rays with their unit-row copies."""
-        self._gens, self._dual_rays = gens, dual_rays
+        """Keep the generators (Fractions) and the dual rays (primitive
+        integer rows): both as primitive integer arrays for the exact
+        queries and as unit float rows, the dual rays also as Fractions."""
+        self._gens = gens
+        self._dual_rays = [[Fraction(v) for v in y] for y in dual_rays]
+        self._gens_int = np.array([_primitive(g) for g in gens], dtype=object)
+        self._dual_int = np.array(dual_rays, dtype=object)
         self._gens_f = _unit_rows(gens)
         self._dual_f = _unit_rows(dual_rays)
 
@@ -350,43 +364,49 @@ class Polyhedral(Cone):
         return out
 
     @classmethod
-    def _enumerate_dual_rays(cls, gens, d):
-        m = len(gens)
+    def _enumerate_dual_rays(cls, ints, d):
+        """Primitive integer dual rays of the cone of the integer rows
+        ``ints``: one per (d-1)-subset of rows with a one-dimensional
+        kernel whose vector, of one sign, pairs nonnegatively with all."""
+        m = len(ints)
         if d >= 2 and math.comb(m, d - 1) > cls.MAX_SUBSETS:
             raise ValueError(
                 f"dual-ray enumeration over {m} generators in dimension {d} "
                 "is too large for this desk-scale implementation")
+        gens = np.array(ints, dtype=object)
         rays = []
         seen = set()
         subsets = combinations(range(m), d - 1) if d >= 2 else [()]
         for subset in subsets:
-            rows = [gens[i] for i in subset]
+            rows = [ints[i] for i in subset]
             if rows:
                 null = exact_kernel_basis(rows)
             else:
                 null = [[Fraction(i == j) for j in range(d)] for i in range(d)]
             if len(null) != 1:
                 continue
-            for cand in (null[0], [-v for v in null[0]]):
-                if all(_dot_exact(g, cand) >= 0 for g in gens):
-                    prim = _primitive(cand)
-                    key = tuple(prim)
+            prim = np.array(_primitive(null[0]), dtype=object)
+            for cand in (prim, -prim):
+                if np.all(gens @ cand >= 0):
+                    key = tuple(cand)
                     if key not in seen:
                         seen.add(key)
-                        rays.append([Fraction(v) for v in prim])
+                        rays.append(list(key))
                     break
         if exact_rank(rays) != d:  # also when there are none
             raise ValueError("cone is not pointed: it contains a line")
         return rays
 
     def _minimal_generators(self):
+        """The generators on d-1 independent facets, one per ray."""
+        zeros = (self._dual_int @ self._gens_int.T) == 0
         out = []
         seen = set()
-        for g in self._gens:
-            active = [y for y in self._dual_rays if _dot_exact(y, g) == 0]
-            rank = exact_rank(active) if active else 0
+        for g, ray, active in zip(self._gens, self._gens_int, zeros.T):
+            rank = exact_rank(self._dual_int[active].tolist()) \
+                if active.any() else 0
             if rank == self.dim - 1:
-                key = tuple(_primitive(g))
+                key = tuple(ray)
                 if key not in seen:
                     seen.add(key)
                     out.append(g)
@@ -395,28 +415,29 @@ class Polyhedral(Cone):
     def __repr__(self):
         return f"Polyhedral({len(self._gens)} generators, dim {self.dim})"
 
-    def _dots(self, rows_exact, rows_float, x, mode, strict):
+    def _dots(self, rows_int, rows_float, x, mode, strict):
         self._check_dim(x)
         exact = as_exact(x)
         if exact is not None:
-            dots = (_dot_exact(r, exact) for r in rows_exact)
-            return all(v > 0 for v in dots) if strict else all(v >= 0 for v in dots)
+            # a positive integer multiple of x has the same signs
+            dots = rows_int @ _integer_multiple([exact])[0]
+            return bool(np.all(dots > 0) if strict else np.all(dots >= 0))
         xf = np.asarray(x, dtype=float)
         margin = mode.eps_interior * np.linalg.norm(xf)
         dots = rows_float @ xf
         return bool(np.all(dots > margin) if strict else np.all(dots >= -margin))
 
     def contains(self, x, mode=FLOAT_MODE):
-        return self._dots(self._dual_rays, self._dual_f, x, mode, strict=False)
+        return self._dots(self._dual_int, self._dual_f, x, mode, strict=False)
 
     def interior_contains(self, x, mode=FLOAT_MODE):
-        return self._dots(self._dual_rays, self._dual_f, x, mode, strict=True)
+        return self._dots(self._dual_int, self._dual_f, x, mode, strict=True)
 
     def dual_contains(self, y, mode=FLOAT_MODE):
-        return self._dots(self._gens, self._gens_f, y, mode, strict=False)
+        return self._dots(self._gens_int, self._gens_f, y, mode, strict=False)
 
     def interior_dual_contains(self, y, mode=FLOAT_MODE):
-        return self._dots(self._gens, self._gens_f, y, mode, strict=True)
+        return self._dots(self._gens_int, self._gens_f, y, mode, strict=True)
 
     def exact_extremal_generators(self):
         return [list(g) for g in self._extremal]
@@ -432,7 +453,7 @@ class Polyhedral(Cone):
         """
         return Polyhedral._from_rays(
             self.exact_dual_generators(),
-            [[Fraction(v) for v in _primitive(g)] for g in self._extremal])
+            [_primitive(g) for g in self._extremal])
 
 
 def _unit_rows(rows):
@@ -483,10 +504,13 @@ class TensorCone(Cone):
                 right.exact_extremal_generators())
         rays = [[a * b for a in g for b in h] for g, h in product(*gens)]
         if len(gens[0]) == left.dim or len(gens[1]) == right.dim:
+            # the operands' dual rays are primitive integer rows, and so
+            # are their Kronecker products
             duals = product(left.exact_dual_generators(),
                             right.exact_dual_generators())
             self._inner = Polyhedral._from_rays(
-                rays, [[a * b for a in y for b in z] for y, z in duals])
+                rays, [[a.numerator * b.numerator for a in y for b in z]
+                       for y, z in duals])
         else:
             self._inner = Polyhedral(rays)
 
@@ -542,6 +566,12 @@ class TensorCone(Cone):
     def interior_dual_contains(self, y, mode=FLOAT_MODE):
         return self._query("interior_dual_contains", y, mode,
                            "dual-interior membership")
+
+    def extremal_generators(self):
+        return self._finite().extremal_generators()
+
+    def dual_generators(self):
+        return self._finite().dual_generators()
 
     def exact_extremal_generators(self):
         return self._finite().exact_extremal_generators()

@@ -244,7 +244,7 @@ def u_norm(x, u, cone: Cone, mode: ScalarMode = FLOAT_MODE) -> float:
         root = vecs @ np.diag(np.sqrt(w)) @ vecs.conj().T
         squeezed = root @ basis.mat(xf) @ root
         return float(np.sum(np.abs(np.linalg.eigvalsh(squeezed))))
-    gens = np.array(cone.exact_extremal_generators(), dtype=float)
+    gens = np.array(cone.extremal_generators())
     # imported here: scipy.optimize costs most of the package import
     from scipy.optimize import linprog
     bound = gens @ uf

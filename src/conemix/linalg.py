@@ -167,13 +167,14 @@ def exact_shift(m: ExactMatrix, lam: Fraction) -> ExactMatrix:
 
 
 def _integer_rows(m: ExactMatrix) -> list:
-    """Clear denominators row by row (keeps the row space and the kernel)."""
+    """Clear denominators row by row (keeps the row space and the kernel).
+    Entries are Fractions or ints; only ints are multiplied."""
     out = []
     for row in m:
         lcm = 1
         for x in row:
             lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-        out.append([int(x * lcm) for x in row])
+        out.append([x.numerator * (lcm // x.denominator) for x in row])
     return out
 
 

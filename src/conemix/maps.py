@@ -30,7 +30,14 @@ from .cones import (
     UnsupportedConeOperation,
     validate_unit,
 )
-from .linalg import FLOAT_MODE, ScalarMode, Spectrum, as_exact
+from .linalg import (
+    FLOAT_MODE,
+    ScalarMode,
+    Spectrum,
+    _integer_multiple,
+    _integer_rows,
+    as_exact,
+)
 
 __all__ = [
     "DynMap",
@@ -249,10 +256,12 @@ def is_positive(a: DynMap, mode: ScalarMode = FLOAT_MODE) -> PositivityVerdict:
 
     Orthant cones are decided on the entries; polyhedral and finite tensor
     cones on the image of every exact extremal generator, in the map's own
-    arithmetic.  For the PSD cone the question is only
-    semi-decidable: a PSD Choi matrix certifies yes (complete positivity
-    implies positivity), a sampled pure state whose image has a negative
-    eigenvalue certifies no, and otherwise the verdict is unknown.
+    arithmetic (an exact map on integers: positive multiples of the map
+    and of each generator move no image across the cone's boundary).  For
+    the PSD cone the question is only semi-decidable: a PSD Choi matrix
+    certifies yes (complete positivity implies positivity), a sampled pure
+    state whose image has a negative eigenvalue certifies no, and otherwise
+    the verdict is unknown.
     """
     cone = a.cone
     if isinstance(cone, Orthant):
@@ -268,14 +277,18 @@ def is_positive(a: DynMap, mode: ScalarMode = FLOAT_MODE) -> PositivityVerdict:
 
     if isinstance(cone, (Polyhedral, TensorCone)):
         try:
-            gens = cone.exact_extremal_generators()
+            if a.exact is None:
+                images = [a.matrix @ g for g in cone.extremal_generators()]
+            else:
+                gens = _integer_rows(cone.exact_extremal_generators())
+                images = (_integer_multiple(a.exact)
+                          @ np.array(gens, dtype=object).T).T
         except UnsupportedConeOperation:
             return PositivityVerdict(
                 "unknown", "tensor cone with PSD operands: no finite "
                 "generator test")
-        m = _own_matrix(a)
-        for idx, g in enumerate(gens):
-            if not cone.contains(m @ np.array(g, dtype=m.dtype), mode):
+        for idx, image in enumerate(images):
+            if not cone.contains(image, mode):
                 return PositivityVerdict(
                     "no", f"image of extremal generator {idx} leaves the cone")
         return PositivityVerdict("yes", "every extremal generator maps into "

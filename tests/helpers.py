@@ -295,6 +295,47 @@ def route_corpus(seed=91):
 
 
 # ---------------------------------------------------------------------------
+# the four cone queries as Fraction dot products against the exact rays,
+# and the float tolerance rule against their unit rows
+# ---------------------------------------------------------------------------
+
+CONE_QUERIES = ("contains", "interior_contains", "dual_contains",
+                "interior_dual_contains")
+
+
+def _query_answers(duals, gens, positive, nonnegative):
+    return {"contains": all(nonnegative(v) for v in duals),
+            "interior_contains": all(positive(v) for v in duals),
+            "dual_contains": all(nonnegative(v) for v in gens),
+            "interior_dual_contains": all(positive(v) for v in gens)}
+
+
+def reference_cone_queries(cone, x):
+    """The exact queries of a finite cone whose generators are all extreme
+    rays, for a vector of Fractions: signs of the Fraction dot products with
+    the exact dual rays and extreme rays."""
+    def dots(rows):
+        return [sum(a * b for a, b in zip(r, x)) for r in rows]
+    return _query_answers(dots(cone.exact_dual_generators()),
+                          dots(cone.exact_extremal_generators()),
+                          lambda v: v > 0, lambda v: v >= 0)
+
+
+def reference_float_cone_queries(cone, x, mode=FLOAT_MODE):
+    """The same queries for the float copy of x: dot products with the unit
+    rows of the rays, against a margin of ``eps_interior * |x|``."""
+    xf = np.array([float(v) for v in x])
+    margin = mode.eps_interior * np.linalg.norm(xf)
+
+    def dots(rows):
+        arr = np.array([[float(v) for v in r] for r in rows])
+        return (arr / np.linalg.norm(arr, axis=1, keepdims=True)) @ xf
+    return _query_answers(dots(cone.exact_dual_generators()),
+                          dots(cone.exact_extremal_generators()),
+                          lambda v: v > margin, lambda v: v >= -margin)
+
+
+# ---------------------------------------------------------------------------
 # the stationary pair and the float reachability route as they were built
 # before the pair had one implementation in the map's own arithmetic
 # ---------------------------------------------------------------------------

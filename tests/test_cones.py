@@ -19,12 +19,15 @@ from conemix import (
     adjoint,
     classify,
     from_matrix,
+    is_positive,
     validate_unit,
 )
 from conemix.cli import report_to_dict
 from conemix.cones import _primitive
 from conemix.linalg import exact_rank
-from helpers import reference_tensor_inner, route_corpus, \
+from helpers import CONE_QUERIES, cyclic_polytope_generators, \
+    generator_map, reference_cone_queries, reference_float_cone_queries, \
+    reference_tensor_inner, route_corpus, scaled_cone, \
     seeded_polyhedral_cones, seeded_simplicial_pairs
 
 
@@ -87,6 +90,127 @@ def test_polyhedral_exact_queries():
     assert cone.contains([Fraction(1), Fraction(1)], RATIONAL_MODE)
     assert not cone.interior_contains([Fraction(1), Fraction(1)],
                                       RATIONAL_MODE)
+
+
+SQUARE = [[1, 1, 1], [1, -1, 1], [1, -1, -1], [1, 1, -1]]
+TRIANGLE = [[1, 0, 0], [1, 1, 0], [1, 0, 1]]
+
+
+@cache
+def _query_cones():
+    """Cones whose generators are all extreme rays: the seeded polyhedral
+    cones, scaled ones, one of non-integer Fraction generators, triangle
+    (x) square tensor cones in both orders, and the duals of all."""
+    rng = np.random.default_rng(21)
+    cones = seeded_polyhedral_cones(rng)
+    cones["scaled-square"] = scaled_cone(rng, SQUARE)
+    cones["scaled-cyclic-5"] = scaled_cone(
+        rng, cyclic_polytope_generators(rng, 5, 7))
+    # rays over points of a parabola, with unequal denominators
+    cones["fraction-parabola"] = Polyhedral(
+        [[Fraction(1, 2), Fraction(t, 3), Fraction(t * t, 10 ** 20 + 1)]
+         for t in (-2, -1, 0, 1, 3)])
+    cones["fraction(x)triangle"] = TensorCone(
+        cones["fraction-parabola"], scaled_cone(rng, TRIANGLE))
+    cones["square(x)triangle"] = TensorCone(scaled_cone(rng, SQUARE),
+                                            scaled_cone(rng, TRIANGLE))
+    cones.update({f"{name}-dual": cone.dual()
+                  for name, cone in list(cones.items())})
+    return cones
+
+
+def _query_vectors(cone, rng):
+    """Exact vectors (Fraction lists) for the query checks, negated too:
+    extreme rays and dual rays (a dot product exactly 0), each moved off
+    its face by 10^-40 of the ray sum, scaled past 2^64, and random ones
+    with denominators up to 10^40."""
+    gens = cone.exact_extremal_generators()
+    duals = cone.exact_dual_generators()
+    tiny, big = Fraction(1, 10 ** 40), 2 ** 64 + 1
+    vectors = []
+    for rays in (gens, duals):
+        center = [sum(col) for col in zip(*rays)]
+        vectors.append(center)
+        for ray in rays[:3]:
+            vectors += [ray,
+                        [v + tiny * c for v, c in zip(ray, center)],
+                        [v - tiny * c for v, c in zip(ray, center)],
+                        [big * v + c for v, c in zip(ray, center)],
+                        [3 ** 50 * v - tiny * c for v, c in zip(ray, center)]]
+    for _ in range(4):
+        vectors.append([Fraction(int(rng.integers(-50, 51)),
+                                 10 ** int(rng.integers(0, 41)))
+                        for _ in range(cone.dim)])
+        weights = [Fraction(int(rng.integers(0, 9)),
+                            10 ** int(rng.integers(0, 41))) for _ in gens]
+        vectors.append([sum(w * g[i] for w, g in zip(weights, gens))
+                        for i in range(cone.dim)])
+    return vectors + [[-v for v in x] for x in vectors]
+
+
+@cache
+def _query_cases():
+    rng = np.random.default_rng(22)
+    return {name: _query_vectors(cone, rng)
+            for name, cone in _query_cones().items()}
+
+
+@pytest.mark.parametrize("name", sorted(_query_cones()))
+def test_exact_queries_match_fraction_reference(name):
+    cone = _query_cones()[name]
+    for x in _query_cases()[name]:
+        want = reference_cone_queries(cone, x)
+        floats = reference_float_cone_queries(cone, x)
+        for query in CONE_QUERIES:
+            ask = getattr(cone, query)
+            assert ask(x) == want[query], (name, query, x)
+            assert ask(np.array(x, dtype=object)) == want[query]
+            assert ask([str(v) for v in x]) == want[query]
+            assert ask(np.array(x, dtype=float)) == floats[query], \
+                (name, query, x)
+    # extreme rays lie on the boundary of the cone, dual rays on that of
+    # the dual: a dot product is exactly 0
+    for ray in cone.exact_extremal_generators():
+        assert cone.contains(ray) and not cone.interior_contains(ray)
+    for ray in cone.exact_dual_generators():
+        assert cone.dual_contains(ray)
+        assert not cone.interior_dual_contains(ray)
+
+
+@pytest.fixture
+def fraction_products(monkeypatch):
+    """Names of the Fraction multiplications made while it is active."""
+    calls = []
+    for name in ("__mul__", "__rmul__"):
+        def counting(a, b, _name=name, _original=getattr(Fraction, name)):
+            calls.append(_name)
+            return _original(a, b)
+        monkeypatch.setattr(Fraction, name, counting)
+    return calls
+
+
+def test_exact_cone_queries_multiply_no_fractions(fraction_products):
+    cases = _query_cases()
+    rng = np.random.default_rng(23)
+    maps = []
+    for cone in seeded_polyhedral_cones(rng).values():
+        positive = generator_map(rng, cone.exact_extremal_generators(),
+                                 cone.exact_dual_generators())
+        mixed = [[Fraction(int(v), 7) for v in row]
+                 for row in rng.integers(-3, 4, size=(cone.dim, cone.dim))]
+        maps += [from_matrix([[v / 3 for v in row] for row in positive],
+                             cone), from_matrix(mixed, cone)]
+    fraction_products.clear()
+    for name, cone in _query_cones().items():
+        for x in cases[name]:
+            for query in CONE_QUERIES:
+                getattr(cone, query)(x)
+    verdicts = [is_positive(a).value for a in maps]
+    assert fraction_products == []
+    assert verdicts.count("yes") == len(maps) // 2
+    # the count sees a Fraction dot product, so the empty one is not vacuous
+    reference_cone_queries(cone, x)
+    assert fraction_products
 
 
 def test_extremal_generators():

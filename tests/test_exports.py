@@ -14,7 +14,8 @@ import conemix
 MODULES = sorted(info.name for info in pkgutil.iter_modules(conemix.__path__))
 #: a cone's private state, which only ``cones.py`` may read
 CONE_PRIVATE = re.compile(
-    r"\._(inner|poly|delegate|gens|dual_rays|extremal|gens_f|dual_f)\b")
+    r"\._(inner|poly|delegate|gens|dual_rays|extremal|gens_f|dual_f|"
+    r"gens_int|dual_int)\b")
 
 
 @pytest.mark.parametrize("name", MODULES)

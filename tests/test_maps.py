@@ -23,9 +23,10 @@ from conemix import (
     is_dup,
     is_positive,
 )
+from conemix.classify import irreducible_routes
 from conemix.cli import report_to_dict
-from helpers import generator_map, random_hermitian, random_kraus_channel, \
-    random_stochastic_map, seeded_polyhedral_cones
+from helpers import generator_map, random_chain, random_hermitian, \
+    random_kraus_channel, random_stochastic_map, seeded_polyhedral_cones
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]])
@@ -293,6 +294,30 @@ def test_from_stochastic_lists_no_orthant_rays(monkeypatch):
         np.testing.assert_array_equal(
             cone.default_unit(),
             np.sum([[float(v) for v in y] for y in dual_rays], axis=0))
+
+
+def test_float_maps_on_orthants_list_no_exact_rays(monkeypatch):
+    # the generator routes of a float map read the cone's float rays, which
+    # an orthant (and orthant (x) orthant) answers as identity rows
+    calls = []
+    rays = Orthant.exact_extremal_generators
+    monkeypatch.setattr(Orthant, "exact_extremal_generators",
+                        lambda self: calls.append(self.dim) or rays(self))
+    chain = from_stochastic(
+        random_chain(np.random.default_rng(4), 20, "periodic"))
+    tensor = from_matrix(np.full((4, 4), 0.25),
+                         TensorCone(Orthant(2), Orthant(2)))
+    for a in (chain, tensor):
+        assert {"binomial-power", "reachability"} <= \
+            set(irreducible_routes(a))
+        classify(a)
+    assert calls == []
+    # an exact map runs its generator routes on the exact rays
+    irreducible_routes(from_stochastic([[0, 1], [1, 0]]))
+    assert calls
+    # a PSD cone still has no generator routes
+    channel = random_kraus_channel(np.random.default_rng(4), 2)
+    assert "binomial-power" not in irreducible_routes(channel)
 
 
 def _transpose_on(a, cone):
