@@ -45,7 +45,8 @@ print("identity verdicts:", classify(from_matrix([[1, 0], [0, 1]],
                                                  wedge)).verdicts())
 
 # Order-interval norms: on the orthant the u-norm is a weighted l1 norm;
-# on a general polyhedral cone it is computed by a small linear program.
+# on a general polyhedral cone it is |<u, x>| when x or -x lies in the
+# cone, and a small linear program computes it for any other vector.
 u = wedge.default_unit()
 print("unit element:", u)
 for x in ([1.0, 0.0], [0.0, 1.0], [1.0, -1.0]):

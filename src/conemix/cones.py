@@ -137,7 +137,8 @@ class Cone:
         """Sum of the dual cone's exact extreme rays, which is strictly
         positive on every nonzero vector of the cone; raises where no
         finite list exists."""
-        return [sum(col) for col in zip(*self.exact_dual_generators())]
+        raise UnsupportedConeOperation(
+            f"{self!r} has no finite exact generator list")
 
     def default_unit(self) -> np.ndarray:
         """Float copy of :meth:`exact_default_unit`."""
@@ -444,6 +445,10 @@ class Polyhedral(Cone):
 
     def exact_dual_generators(self):
         return [list(y) for y in self._dual_rays]
+
+    def exact_default_unit(self):
+        """Column sums of the integer dual rays, as Fractions."""
+        return [Fraction(v) for v in self._dual_int.sum(axis=0)]
 
     def dual(self):
         """The dual cone, from the rays held here: no enumeration runs.

@@ -23,7 +23,7 @@ from .cones import (
     UnsupportedConeOperation,
     is_classical,
 )
-from .linalg import FLOAT_MODE, ScalarMode
+from .linalg import FLOAT_MODE, ScalarMode, as_exact
 from .maps import DynMap
 
 __all__ = [
@@ -228,14 +228,20 @@ def u_norm(x, u, cone: Cone, mode: ScalarMode = FLOAT_MODE) -> float:
     """Max of |<y, x>| over the order interval -u <= y <= u in the dual.
 
     Closed forms: weighted l1 on the orthant, the trace norm
-    ||U^(1/2) X U^(1/2)||_1 on the PSD cone; other cones solve a small LP
-    over their exact extreme rays.  Contracted by every cone-positive map
+    ||U^(1/2) X U^(1/2)||_1 on the PSD cone, and |<u, x>| on any other
+    cone with a finite generator list when x or -x lies in the cone (for
+    x in K and -u <= y <= u, u - y is in the dual, so <y, x> <= <u, x>).
+    Membership is decided by the cone in ``mode``: exactly for an exact x
+    (ints, Fractions, rational strings), whose norm is then the exact dot
+    product when u is exact too.  Only a vector outside +-K solves a small
+    LP over the cone's extreme rays.  Contracted by every cone-positive map
     that fixes u under its adjoint.
     """
     if not cone.interior_dual_contains(u, mode):
         raise InvalidUnitError("unit element is not interior to the dual cone")
-    xf = np.asarray(x, dtype=float)
-    uf = np.asarray(u, dtype=float)
+    exact_x, exact_u = as_exact(x), as_exact(u)
+    xf = np.asarray(x if exact_x is None else exact_x, dtype=float)
+    uf = np.asarray(u if exact_u is None else exact_u, dtype=float)
     if is_classical(cone):
         return float(np.sum(uf * np.abs(xf)))
     if isinstance(cone, Psd):
@@ -244,7 +250,13 @@ def u_norm(x, u, cone: Cone, mode: ScalarMode = FLOAT_MODE) -> float:
         root = vecs @ np.diag(np.sqrt(w)) @ vecs.conj().T
         squeezed = root @ basis.mat(xf) @ root
         return float(np.sum(np.abs(np.linalg.eigvalsh(squeezed))))
+    # raises on a cone with no finite generator list, whatever x is
     gens = np.array(cone.extremal_generators())
+    own = xf if exact_x is None else np.array(exact_x, dtype=object)
+    if cone.contains(own, mode) or cone.contains(-own, mode):
+        if exact_x is not None and exact_u is not None:
+            return float(abs(own @ np.array(exact_u, dtype=object)))
+        return abs(float(uf @ xf))
     # imported here: scipy.optimize costs most of the package import
     from scipy.optimize import linprog
     bound = gens @ uf

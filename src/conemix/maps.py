@@ -14,6 +14,7 @@ floats, so no exact matrix is attached.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -140,11 +141,12 @@ def from_matrix(m, cone: Cone, unit=None, mode: ScalarMode = FLOAT_MODE) -> DynM
     _check_shape(matrix, cone)
     unit_exact = as_exact(unit)
     if unit is None:
-        unit_f = cone.default_unit()
         try:
             unit_exact = cone.exact_default_unit()
         except UnsupportedConeOperation:
-            pass
+            unit_f = cone.default_unit()
+        else:
+            unit_f = np.array(unit_exact, dtype=float)
     else:
         unit_f = validate_unit(cone, unit if unit_exact is None else unit_exact,
                                mode)
@@ -223,11 +225,15 @@ def is_dup(a: DynMap) -> bool:
     a relative tolerance.
     """
     if a.exact is not None and a.unit_exact is not None:
-        m, u, cutoff = _own_matrix(a), np.array(a.unit_exact, dtype=object), 0
-    else:
-        m, u = a.matrix, a.unit
-        cutoff = 1e-9 * max(1.0, np.linalg.norm(u))
-    gap = m.T @ u - u
+        # A* u = u  <=>  (D A)^T (c u) = D (c u), for D and c the lcms of
+        # the denominators of A and of u: one product of Python ints
+        scale = math.lcm(*(x.denominator for row in a.exact for x in row))
+        m = _integer_multiple(a.exact)
+        u = _integer_multiple([a.unit_exact])[0]
+        return bool(np.all(m.T @ u == scale * u))
+    u = a.unit
+    gap = a.matrix.T @ u - u
+    cutoff = 1e-9 * max(1.0, np.linalg.norm(u))
     return bool(gap @ gap <= cutoff * cutoff)
 
 

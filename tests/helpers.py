@@ -11,7 +11,7 @@ from conemix import FLOAT_MODE, RATIONAL_MODE, Digraph, MultiplicityPair, \
     UnsupportedConeOperation, adjoint, from_kraus, from_matrix, \
     from_stochastic, strongly_connected, tensor_product_digraph
 from conemix.classify import Route, _margin_probe
-from conemix.linalg import _kernel_chain, chain_pair
+from conemix.linalg import _kernel_chain, as_exact, chain_pair
 
 
 def random_stochastic_exact(rng, d):
@@ -333,6 +333,48 @@ def reference_float_cone_queries(cone, x, mode=FLOAT_MODE):
     return _query_answers(dots(cone.exact_dual_generators()),
                           dots(cone.exact_extremal_generators()),
                           lambda v: v > margin, lambda v: v >= -margin)
+
+
+# ---------------------------------------------------------------------------
+# the u-norm as the LP over the extreme rays that every polyhedral and
+# finite tensor cone solved before cone vectors got the closed form <u, x>
+# ---------------------------------------------------------------------------
+
+def reference_u_norm_lp(x, u, cone):
+    """max <x, y> over G y <= G u and -G y <= G u, for G the float extreme
+    rays of the cone: the order-interval norm of x."""
+    from scipy.optimize import linprog
+    xf, uf = (np.array(v if e is None else e, dtype=float)
+              for v, e in ((x, as_exact(x)), (u, as_exact(u))))
+    gens = np.array(cone.extremal_generators())
+    bound = gens @ uf
+    res = linprog(c=-xf, A_ub=np.vstack([gens, -gens]),
+                  b_ub=np.concatenate([bound, bound]),
+                  bounds=[(None, None)] * len(xf), method="highs")
+    assert res.success, res.message
+    return float(-res.fun)
+
+
+def dup_generator_map(rng, cone):
+    """sum p_ij g_i h_j^T / <u, g_i> over the extreme rays g_i and the dual
+    rays h_j, with seeded weights p_ij >= 0 that sum to 1 for each j: it
+    maps every ray into the cone, and its adjoint fixes the default unit
+    u = sum_j h_j."""
+    gens = cone.exact_extremal_generators()
+    duals = cone.exact_dual_generators()
+    u = cone.exact_default_unit()
+    d = cone.dim
+    m = [[Fraction(0)] * d for _ in range(d)]
+    for h in duals:
+        weights = [int(w) for w in rng.integers(0, 4, size=len(gens))]
+        weights[int(rng.integers(len(gens)))] += 1
+        total = sum(weights)
+        for w, g in zip(weights, gens):
+            scale = Fraction(w, total) / sum(a * b for a, b in zip(u, g))
+            for i in range(d):
+                for j in range(d):
+                    m[i][j] += scale * g[i] * h[j]
+    return m
 
 
 # ---------------------------------------------------------------------------

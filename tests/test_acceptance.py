@@ -23,8 +23,10 @@ from conemix import (
     from_kraus,
     from_matrix,
     from_stochastic,
+    is_dup,
     is_ergodic,
     is_mixing,
+    is_positive,
     period,
     power_trajectory,
     stationary_pair,
@@ -40,10 +42,12 @@ from conemix.classify import (
 )
 from conemix.cli import main
 from helpers import (
+    dup_generator_map,
     random_dense_stochastic,
     random_kraus_channel,
     random_stochastic_exact,
     random_strongly_connected_digraph,
+    seeded_polyhedral_cones,
     to_float_rows,
 )
 
@@ -282,6 +286,51 @@ def test_criterion_9_u_norm_contraction_and_axioms():
         if before < 1e-12:
             np.testing.assert_allclose(vec, 0.0, atol=1e-10)
     ok(9, "(1000 pairs: contraction, homogeneity, triangle inequality)")
+
+
+def test_criterion_9_u_norm_axioms_on_polyhedral_and_tensor_cones():
+    # dup positive maps on the seeded polyhedral cones (triangle (x) square
+    # among them) and the square-cone rotation; the vectors cross between
+    # the closed form <u, x> on +-K and the LP outside it
+    rng = np.random.default_rng(909)
+    cones = seeded_polyhedral_cones(rng)
+    maps = [from_matrix([[1, 0, 0], [0, 0, -1], [0, 1, 0]], cones["square"])]
+    for cone in cones.values():
+        m = dup_generator_map(rng, cone)
+        maps += [from_matrix(m, cone), from_matrix(to_float_rows(m), cone)]
+    crossings = {"contraction": 0, "triangle": 0}
+
+    def signed_member(v, cone):
+        return cone.contains(v) or cone.contains(-v)
+
+    checked = 0
+    for a in maps:
+        assert is_dup(a) and is_positive(a)
+        gens = np.array(a.cone.extremal_generators())
+        for _ in range(12):
+            inside = rng.random(len(gens)) @ gens
+            vec = inside + rng.uniform(0.0, 2.0) * np.linalg.norm(inside) \
+                * rng.standard_normal(a.dim) / np.sqrt(a.dim)
+            other = rng.choice([-1.0, 1.0]) * rng.random(len(gens)) @ gens
+            for x, y in ((vec, other), (inside, vec), (-inside, other)):
+                before = u_norm(x, a.unit, a.cone)
+                image = a.matrix @ x
+                after = u_norm(image, a.unit, a.cone)
+                assert after <= before * (1 + 1e-9) + 1e-12
+                crossings["contraction"] += \
+                    signed_member(x, a.cone) != signed_member(image, a.cone)
+                c = float(rng.standard_normal())
+                assert u_norm(c * x, a.unit, a.cone) == pytest.approx(
+                    abs(c) * before, rel=1e-9, abs=1e-12)
+                total = u_norm(x + y, a.unit, a.cone)
+                assert total <= (before + u_norm(y, a.unit, a.cone)) \
+                    * (1 + 1e-9) + 1e-12
+                crossings["triangle"] += len({
+                    signed_member(v, a.cone) for v in (x, y, x + y)}) == 2
+                checked += 1
+    assert min(crossings.values()) > 0, crossings
+    ok(9, f"({len(maps)} dup positive polyhedral and tensor maps, {checked} "
+          f"vectors, crossings {crossings})")
 
 
 def test_criterion_10_kron_of_mixing_pairs_is_mixing():

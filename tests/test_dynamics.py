@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,6 +15,7 @@ from conemix import (
     Polyhedral,
     Psd,
     TensorCone,
+    UnsupportedConeOperation,
     cesaro_trajectory,
     decoupling_distance,
     decoupling_trace,
@@ -19,7 +26,8 @@ from conemix import (
     u_norm,
 )
 from helpers import random_dense_stochastic, random_hermitian, \
-    random_kraus_channel
+    random_kraus_channel, reference_cone_queries, reference_u_norm_lp, \
+    seeded_polyhedral_cones
 
 SHEAR = [[1, 1], [0, 1]]
 
@@ -252,6 +260,141 @@ def test_u_norm_contraction_small_corpus():
         x = rng.standard_normal(4)
         assert u_norm(ch.matrix @ x, ch.unit, ch.cone) <= \
             u_norm(x, ch.unit, ch.cone) + 1e-12
+
+
+def _u_norm_vectors(rng, cone):
+    """(label, x) integer vectors of a finite cone: an interior point, a
+    point on each of three facets, every extreme ray and 0; their
+    negations; and seeded vectors outside +-K."""
+    gens = [[int(v) for v in g] for g in cone.exact_extremal_generators()]
+    inside = [("interior", [sum(int(w) * v for w, v in zip(
+        rng.integers(1, 4, size=len(gens)), col)) for col in zip(*gens)])]
+    for k, h in enumerate(cone.exact_dual_generators()[:3]):
+        face = [g for g in gens if sum(a * b for a, b in zip(h, g)) == 0]
+        inside.append((f"facet {k}", [sum(col) for col in zip(*face)]))
+    inside += [(f"ray {k}", g) for k, g in enumerate(gens)]
+    inside.append(("zero", [0] * cone.dim))
+    out = inside + [(f"-{label}", [-v for v in x]) for label, x in inside]
+    outside = []
+    while len(outside) < 5:
+        x = [int(v) for v in rng.integers(-6, 7, size=cone.dim)]
+        exact = [Fraction(v) for v in x]
+        if not reference_cone_queries(cone, exact)["contains"] and \
+                not reference_cone_queries(cone, [-v for v in exact])[
+                    "contains"]:
+            outside.append((f"outside {len(outside)}", x))
+    return out + outside
+
+
+def _input_forms(x):
+    """The integer vector x as ints, as Fractions (x / 3), as rational
+    strings (x / 7) and as floats, with the factor that undoes the scale."""
+    return (("ints", x, 1),
+            ("fractions", [Fraction(v, 3) for v in x], 3),
+            ("strings", [str(Fraction(v, 7)) for v in x], 7),
+            ("floats", np.array(x, dtype=float), 1))
+
+
+def _reference_cones():
+    cones = seeded_polyhedral_cones(np.random.default_rng(240))
+    # and the tensor cone in the other order, the simplicial operand right
+    cones["square(x)triangle"] = TensorCone(cones["square"],
+                                            cones["triangle"])
+    return cones
+
+
+@pytest.mark.parametrize("name", sorted(_reference_cones()))
+def test_u_norm_matches_lp_reference(name):
+    cone = _reference_cones()[name]
+    rng = np.random.default_rng(241)
+    exact_unit = cone.exact_default_unit()
+    h0 = cone.exact_dual_generators()[0]
+    # a second interior unit: the default one plus a dual ray
+    other = [a + b for a, b in zip(exact_unit, h0)]
+    units = (exact_unit, np.array(exact_unit, dtype=float), other)
+    for label, x in _u_norm_vectors(rng, cone):
+        for u in units:
+            want = reference_u_norm_lp(x, u, cone)
+            for form, given, scale in _input_forms(x):
+                got = u_norm(given, u, cone) * scale
+                assert got == pytest.approx(want, rel=1e-9), \
+                    (name, label, form, list(u))
+
+
+def test_u_norm_exact_cone_vector_is_exact_dot_product():
+    # the closed form reads exact input exactly: strings included
+    cone = Polyhedral([[3, 1, 1], [3, -1, 1], [3, -1, -1], [3, 1, -1]])
+    # the default unit (4, 0, 0) plus the dual ray (1, 3, 0)
+    u = [5, 3, 0]
+    x = ["1/3", "1/9", "-1/9"]
+    want = float(sum(a * Fraction(v) for a, v in zip(u, x)))
+    # the float dot product rounds the thirds and lands one ulp off
+    assert np.dot(u, [float(Fraction(v)) for v in x]) != want
+    assert u_norm(x, u, cone) == want
+    assert u_norm(["-1/3", "-1/9", "1/9"], u, cone) == want
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+SQUARE = [[1, 1, 1], [1, -1, 1], [1, -1, -1], [1, 1, -1]]
+
+
+def test_u_norm_psd_tensor_operands_still_raise():
+    square = Polyhedral(SQUARE)
+    psd = Psd(2)
+    for cone in (TensorCone(psd, square), TensorCone(square, psd)):
+        u = cone.default_unit()
+        inside = cone.default_unit() / 4
+        assert cone.contains(inside)
+        rng = np.random.default_rng(242)
+        for x in (inside, -inside, np.zeros(cone.dim),
+                  rng.standard_normal(cone.dim)):
+            with pytest.raises(UnsupportedConeOperation):
+                u_norm(x, u, cone)
+
+
+def _run_u_norm_probe(body):
+    """Run ``body`` after building the square cone and triangle (x) square
+    in a fresh interpreter; print its value and whether scipy.optimize
+    got loaded."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    probe = (
+        "import sys\n"
+        "from conemix import Polyhedral, TensorCone, u_norm\n"
+        f"square = Polyhedral({SQUARE!r})\n"
+        "tensor = TensorCone(Polyhedral([[1, 0, 0], [1, 1, 0], [1, 0, 1]]), "
+        "square)\n"
+        f"{body}\n"
+        "print('scipy.optimize' in sys.modules, repr(value))\n")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    loaded, value = out.split(None, 1)
+    return eval(value), loaded == "True"
+
+
+def test_u_norm_of_cone_vectors_leaves_scipy_optimize_unloaded():
+    value, loaded = _run_u_norm_probe(
+        "value = []\n"
+        "for cone in (square, tensor):\n"
+        "    x = [sum(c) for c in zip(*cone.exact_extremal_generators())]\n"
+        "    value.append(u_norm([float(v) for v in x], "
+        "cone.default_unit(), cone))\n"
+        "    value.append(u_norm([-v for v in x], "
+        "cone.exact_default_unit(), cone))")
+    assert loaded is False
+    # square: x = (4, 0, 0), u = (4, 0, 0); the tensor cone's unit is the
+    # product of (1, 0, 0) and that one, and x sums 4 * 3 product rays
+    assert value == [16.0, 16.0, 48.0, 48.0]
+
+
+def test_u_norm_outside_the_cone_loads_scipy_and_solves_the_lp():
+    value, loaded = _run_u_norm_probe(
+        "value = u_norm([0.0, 1.0, 0.5], square.default_unit(), square)")
+    assert loaded is True
+    square = Polyhedral(SQUARE)
+    assert value == reference_u_norm_lp([0.0, 1.0, 0.5],
+                                        square.default_unit(), square)
 
 
 # ---------------------------------------------------------------------------
