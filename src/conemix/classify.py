@@ -10,13 +10,19 @@ Each verdict has at least two independent routes that are cross-checked:
   of ``r^2`` on the Kronecker square (float, counted from the products of
   A's eigenvalues), and the spectral-gap condition computed from the full
   eigenvalue list;
-* irreducible -- interior stationary pair (the definition), interior of
-  ``(I + A)^(d-1) g`` for every extremal generator, pairwise support
-  reachability, and strong connectivity of the transition digraph;
-* primitive -- interior pair on top of mixing, Wielandt's boolean-power
-  test on the map's pattern, and aperiodicity.
+* irreducible -- interior stationary pair (the definition); for positive
+  maps on polyhedral and finite tensor cones, no invariant face but 0 and
+  K, read off the face map of one integer sign pattern; for classical
+  maps, strong connectivity of the transition digraph;
+* primitive -- interior pair on top of mixing; for positive maps on
+  polyhedral and finite tensor cones, every ray's face carried onto K by
+  the same face map; for classical maps, Wielandt's boolean-power test on
+  the map's pattern, and aperiodicity.
 
 Exact routes are authoritative when the map carries rational data.
+:func:`classify` builds the stationary pair, the ergodic and mixing
+families and the face map once per report and hands them to the
+irreducible and primitive families.
 Disagreements between routes are never silently resolved; they are
 recorded as flags on the report.
 """
@@ -34,10 +40,7 @@ from .linalg import (
     MultiplicityPair,
     ScalarMode,
     ZeroSpectralRadiusError,
-    _integer_multiple,
-    _integer_rows,
     chain_pair,
-    exact_shift,
 )
 from .maps import DynMap, PositivityVerdict, _own_matrix, is_dup, is_positive
 
@@ -389,118 +392,126 @@ def mixing_routes(a: DynMap, mode: ScalarMode = FLOAT_MODE) -> dict:
     return routes
 
 
-def _interior_pair_route(a: DynMap, base: bool, mode: ScalarMode) -> Route:
-    """base verdict (ergodic/mixing) AND interior stationary pair; skipped
-    when the cone cannot decide interior membership of the pair."""
-    if not base:
-        return Route(False, a.exact is not None)
+def _stationary_or_error(a: DynMap, mode: ScalarMode):
+    """``_stationary(a, mode)``, or the :class:`NotErgodicError` it raised."""
     try:
-        st = _stationary(a, mode)
-    except NotErgodicError:
+        return _stationary(a, mode)
+    except NotErgodicError as err:
+        return err
+
+
+def _interior_pair_route(a: DynMap, base: bool, pair,
+                         mode: ScalarMode) -> Route:
+    """base verdict (ergodic/mixing) AND interior stationary pair, for
+    ``pair`` what ``_stationary_or_error`` returned; skipped when the cone
+    cannot decide interior membership of the pair."""
+    if not base or isinstance(pair, NotErgodicError):
         return Route(False, a.exact is not None)
     cone = a.cone
     try:
         return _margin_probe(
-            lambda m: (cone.interior_contains(st.x, m)
-                       and cone.interior_dual_contains(st.y, m)),
-            mode, st.exact)
+            lambda m: (cone.interior_contains(pair.x, m)
+                       and cone.interior_dual_contains(pair.y, m)),
+            mode, pair.exact)
     except UnsupportedConeOperation:
         return Route(False, False, skipped=True)
 
 
-def _binomial_power_route(a: DynMap, gens, mode: ScalarMode) -> Route:
-    """(I + A)^(d-1) sends every extremal generator to the interior.  An
-    exact map runs on integers: a positive multiple of I + A and of each
-    generator moves no image across the cone's boundary."""
-    if a.exact is None:
-        step, gens = np.eye(a.dim) + a.matrix, np.array(gens, dtype=float)
-    else:
-        step = _integer_multiple(exact_shift(a.exact, -1))
-        gens = np.array(_integer_rows(gens), dtype=object)
-    power = np.linalg.matrix_power(step, a.dim - 1)
-    images = [power @ g for g in gens]
-    return _margin_probe(
-        lambda m: all(a.cone.interior_contains(x, m) for x in images),
-        mode, a.exact is not None)
+def _face_verdicts(incidence: np.ndarray, moved: np.ndarray) -> tuple:
+    """(irreducible, primitive) of a cone-positive map from its face map.
+
+    ``incidence`` marks the dual rays (rows) that vanish on each extreme
+    ray g (columns), its zero set ``Z(g)``, and ``moved`` those that do
+    not vanish on its image Ag.  A face F is held as the set of extreme
+    rays it contains, one boolean row; its zero set is the dual rays that
+    vanish on all of them, and its rays are those on which its whole zero
+    set vanishes.  A point of the relative interior of F is a positive
+    combination of all its rays, so the face of its image is ``Phi(F)``,
+    with zero set the intersection of ``Z(Ag)`` over the rays g of F.
+    Irreducible: no face other than 0 and K has ``Phi(F) <= F``, so each
+    ray's face, closed under ``F -> F v Phi(F)``, reaches K.  Primitive:
+    ``Phi(K) = K`` and every ray's orbit under Phi reaches K; an orbit
+    that returns to a face it left never does (Tam & Schneider, "On the
+    core of a cone-preserving map", Trans. AMS 343, 1994)."""
+    off = (~incidence).astype(np.int64)
+    moved = moved.astype(np.int64)
+
+    def rays(faces, nonzero):
+        """Rays of the faces whose zero sets are the dual rays that vanish,
+        by ``nonzero``, on every ray of each face."""
+        zero = (faces.astype(np.int64) @ nonzero.T) == 0
+        return (zero.astype(np.int64) @ off) == 0
+
+    n = off.shape[1]
+    faces = np.eye(n, dtype=bool)
+    while True:
+        grown = rays(faces, off | moved)
+        if np.array_equal(grown, faces):
+            break
+        faces = grown
+    irreducible = bool(faces.all())
+
+    primitive = bool(rays(np.ones((1, n), dtype=bool), moved).all())
+    history = [np.eye(n, dtype=bool)]
+    while primitive and not history[-1].all():
+        faces = rays(history[-1], moved)
+        returned = np.any([(faces == old).all(axis=1) for old in history],
+                          axis=0)
+        primitive = not (returned & ~faces.all(axis=1)).any()
+        history.append(faces)
+    return irreducible, primitive
 
 
-def _reachability_route(a: DynMap, gens, dual_gens,
-                        mode: ScalarMode) -> Route:
-    """Every (generator, dual generator) pair has a strictly positive
-    pairing within d-1 applications of the map (support reachability).
-    An exact map runs on integers, positive multiples of the map and of
-    each generator and dual generator, which keep every pairing's sign."""
-    d = a.dim
-    if a.exact is not None:
-        step = _integer_multiple(a.exact)
-        duals = np.array(_integer_rows(dual_gens), dtype=object)
-        for v in np.array(_integer_rows(gens), dtype=object):
-            hit = np.zeros(len(duals), dtype=bool)
-            for _ in range(d):
-                hit |= duals @ v > 0
-                if hit.all():
-                    break
-                v = step @ v
-            if not hit.all():
-                return Route(False, True)
-        return Route(True, True)
-
-    duals_f = np.array(dual_gens, dtype=float)
-    # pairings with the dual generators (step, dual, generator), and the
-    # norm (step, 1, generator), of the first d images of all generators
-    images = np.array(gens, dtype=float).T
-    dots, norms = [], []
-    for _ in range(d):
-        dots.append(duals_f @ images)
-        norms.append(np.maximum(1e-300, np.linalg.norm(images, axis=0)))
-        images = a.matrix @ images
-    dots, norms = np.array(dots), np.array(norms)[:, None, :]
-    return _margin_probe(
-        lambda m: bool(np.all(np.any(dots > m.eps_interior * norms,
-                                     axis=0))), mode)
-
-
-def irreducible_routes(a: DynMap, mode: ScalarMode = FLOAT_MODE) -> dict:
-    """Every applicable irreducibility criterion, evaluated independently.
-
-    Keys: ``interior-pair`` (the definition: ergodic with interior
-    stationary pair), and for cones with finitely many extremal rays
-    ``binomial-power``, ``reachability``, and (classical maps)
-    ``digraph``.
-    """
-    ergodic = _resolve(ergodic_routes(a, mode)).value
-    routes = {}
-    routes["interior-pair"] = _interior_pair_route(a, ergodic, mode)
+def _face_routes(a: DynMap, mode: ScalarMode) -> dict:
+    """``irreducible`` and ``primitive`` family routes from the face map
+    (``_face_verdicts``), for a map on a polyhedral or finite tensor cone
+    whose ray images say it is positive at ``mode``; empty otherwise.  The
+    orthant has the digraph routes instead, the same lattice in
+    coordinates.  Each distinct sign pattern of the tolerance probes is
+    decided once."""
+    if is_classical(a.cone):
+        return {}
     try:
-        if a.exact is None:
-            gens = a.cone.extremal_generators()
-            dual_gens = a.cone.dual_generators()
-        else:
-            gens = a.cone.exact_extremal_generators()
-            dual_gens = a.cone.exact_dual_generators()
+        images = a.ray_images
     except UnsupportedConeOperation:
-        pass
-    else:
-        routes["binomial-power"] = _binomial_power_route(a, gens, mode)
-        routes["reachability"] = _reachability_route(a, gens, dual_gens, mode)
+        return {}
+    if (images.signs(mode) < 0).any():
+        return {}
+    decided = {}
+
+    def verdicts(m):
+        moved = images.signs(m) != 0
+        key = moved.tobytes()
+        if key not in decided:
+            decided[key] = _face_verdicts(images.incidence, moved)
+        return decided[key]
+
+    return {
+        "irreducible": {"face-closure": _margin_probe(
+            lambda m: verdicts(m)[0], mode, images.exact)},
+        "primitive": {"face-orbit": _margin_probe(
+            lambda m: verdicts(m)[1], mode, images.exact)},
+    }
+
+
+def _irreducible_routes(a: DynMap, mode: ScalarMode, ergodic: bool, pair,
+                        faces: dict) -> dict:
+    """The irreducible family from facts decided once: the ergodic verdict,
+    ``_stationary_or_error`` and ``_face_routes``."""
+    routes = {"interior-pair": _interior_pair_route(a, ergodic, pair, mode)}
+    routes.update(faces.get("irreducible", {}))
     if is_classical(a.cone):
         routes["digraph"] = Route(
             strongly_connected(digraph_of(a, mode)), a.exact is not None)
     return routes
 
 
-def primitive_routes(a: DynMap, mode: ScalarMode = FLOAT_MODE) -> dict:
-    """Every applicable primitivity criterion, evaluated independently.
-
-    Keys: ``interior-pair`` (the definition: mixing with interior
-    stationary pair), and for classical maps ``kron-digraph`` (Wielandt's
-    power test, which for d >= 2 is strong connectivity of the
-    Kronecker-square digraph) and ``aperiodic`` (irreducible with period
-    one).
-    """
-    mixing = _resolve(mixing_routes(a, mode)).value
-    routes = {}
-    routes["interior-pair"] = _interior_pair_route(a, mixing, mode)
+def _primitive_routes(a: DynMap, mode: ScalarMode, mixing: bool, pair,
+                      faces: dict) -> dict:
+    """The primitive family from facts decided once: the mixing verdict,
+    ``_stationary_or_error`` and ``_face_routes``."""
+    routes = {"interior-pair": _interior_pair_route(a, mixing, pair, mode)}
+    routes.update(faces.get("primitive", {}))
     if is_classical(a.cone):
         g = digraph_of(a, mode)
         exact = a.exact is not None
@@ -512,6 +523,34 @@ def primitive_routes(a: DynMap, mode: ScalarMode = FLOAT_MODE) -> dict:
             aperiodic = False
         routes["aperiodic"] = Route(aperiodic, exact)
     return routes
+
+
+def irreducible_routes(a: DynMap, mode: ScalarMode = FLOAT_MODE) -> dict:
+    """Every applicable irreducibility criterion, evaluated independently.
+
+    Keys: ``interior-pair`` (the definition: ergodic with interior
+    stationary pair), ``face-closure`` (positive maps on polyhedral and
+    finite tensor cones: no invariant face but 0 and K), and for
+    classical maps ``digraph``.
+    """
+    ergodic = _resolve(ergodic_routes(a, mode)).value
+    pair = _stationary_or_error(a, mode) if ergodic else None
+    return _irreducible_routes(a, mode, ergodic, pair, _face_routes(a, mode))
+
+
+def primitive_routes(a: DynMap, mode: ScalarMode = FLOAT_MODE) -> dict:
+    """Every applicable primitivity criterion, evaluated independently.
+
+    Keys: ``interior-pair`` (the definition: mixing with interior
+    stationary pair), ``face-orbit`` (positive maps on polyhedral and
+    finite tensor cones: every ray's face is carried onto K), and for
+    classical maps ``kron-digraph`` (Wielandt's power test, which for
+    d >= 2 is strong connectivity of the Kronecker-square digraph) and
+    ``aperiodic`` (irreducible with period one).
+    """
+    mixing = _resolve(mixing_routes(a, mode)).value
+    pair = _stationary_or_error(a, mode) if mixing else None
+    return _primitive_routes(a, mode, mixing, pair, _face_routes(a, mode))
 
 
 def _resolve(routes: dict) -> Route:
@@ -686,11 +725,17 @@ def classify(a: DynMap, mode: ScalarMode = FLOAT_MODE) -> ClassificationReport:
     moduli = np.sort(np.abs(spec.eigenvalues))[::-1]
     gap_ratio = float(moduli[1] / r) if moduli.size > 1 else None
 
+    ergodic_family = ergodic_routes(a, mode)
+    mixing_family = mixing_routes(a, mode)
+    pair = _stationary_or_error(a, mode)
+    faces = _face_routes(a, mode)
     families = {
-        "ergodic": ergodic_routes(a, mode),
-        "mixing": mixing_routes(a, mode),
-        "irreducible": irreducible_routes(a, mode),
-        "primitive": primitive_routes(a, mode),
+        "ergodic": ergodic_family,
+        "mixing": mixing_family,
+        "irreducible": _irreducible_routes(
+            a, mode, _resolve(ergodic_family).value, pair, faces),
+        "primitive": _primitive_routes(
+            a, mode, _resolve(mixing_family).value, pair, faces),
     }
     verdicts = {}
     for family, routes in families.items():
@@ -698,24 +743,20 @@ def classify(a: DynMap, mode: ScalarMode = FLOAT_MODE) -> ClassificationReport:
         criteria.extend(f"{family}:{name}" for name in sorted(routes))
         flags.extend(_route_flags(family, routes))
 
-    stationary = dual_stationary = None
-    pairing = None
-    try:
-        st = _stationary(a, mode)
-        stationary, dual_stationary = st.x0, st.y0
-        pairing = 1.0
+    if isinstance(pair, NotErgodicError):
+        stationary = None if pair.x0 is None else \
+            np.asarray(pair.x0, dtype=float)
+        dual_stationary = None if pair.y0 is None else \
+            np.asarray(pair.y0, dtype=float)
+        pairing = pair.pairing
+        flags.append(f"no-stationary-pair: {pair.reason}")
+    else:
+        stationary, dual_stationary, pairing = pair.x0, pair.y0, 1.0
         try:
-            if not a.cone.interior_dual_contains(st.y, mode):
+            if not a.cone.interior_dual_contains(pair.y, mode):
                 flags.append("dual-stationary-on-boundary")
         except UnsupportedConeOperation:
             flags.append("dual-interior-undecidable")
-    except NotErgodicError as err:
-        if err.x0 is not None:
-            stationary = np.asarray(err.x0, dtype=float)
-        if err.y0 is not None:
-            dual_stationary = np.asarray(err.y0, dtype=float)
-        pairing = err.pairing
-        flags.append(f"no-stationary-pair: {err.reason}")
 
     ergodic = verdicts["ergodic"]
     mixing = verdicts["mixing"]

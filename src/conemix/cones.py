@@ -9,8 +9,9 @@ Four cone families are supported:
   (self-dual).  ``h`` is capped at ``Psd.MAX_H``.
 * ``Polyhedral(generators)`` -- the conic hull of finitely many vectors.
   Construction enumerates the extreme rays of the dual cone exactly (over
-  rationals) and keeps them, and the generators, as primitive integer
-  rays: every exact query is then one matrix product of Python ints.
+  rationals) and keeps them, and the extreme rays among the generators,
+  as primitive integer rays: every exact query is then one matrix product
+  of Python ints.
   Its ``dual()`` reuses those rays: no second enumeration runs.
 * ``TensorCone(left, right)`` -- the minimal tensor-product cone, i.e. the
   conic hull of pairwise products.  Fully supported for orthant/polyhedral
@@ -30,7 +31,10 @@ their float copies (the orthant answers identity rows directly), and
 ``exact_default_unit()`` the sum of the dual rays, and ``default_unit()``
 its float copy (the orthant answers its all-ones sum directly; PSD and
 tensor cones keep their identity and product units; a tensor cone of
-finite operands has the exact product unit).
+finite operands has the exact product unit).  ``ray_images(M)`` pairs the
+dual rays with the images of the extreme rays under a map M, one product
+``D M G^T`` (:class:`RayImages`), whose sign pattern decides positivity
+and the face map of M.
 
 Query vectors that :func:`~conemix.linalg.as_exact` finds exact (ints,
 Fractions and rational strings; object arrays of them) are compared
@@ -58,6 +62,7 @@ from .linalg import (
 
 __all__ = [
     "Cone",
+    "RayImages",
     "Orthant",
     "Psd",
     "Polyhedral",
@@ -133,6 +138,14 @@ class Cone:
         """The dual cone, in the same (orthonormal) coordinates."""
         raise NotImplementedError
 
+    def ray_images(self, matrix) -> RayImages:
+        """The pairings of the dual rays with the images under ``matrix``
+        of the extreme rays (see :class:`RayImages`): an integer object
+        array is exact, a float array is not; raises where no finite list
+        exists."""
+        raise UnsupportedConeOperation(
+            f"{self!r} has no finite exact generator list")
+
     def exact_default_unit(self) -> list:
         """Sum of the dual cone's exact extreme rays, which is strictly
         positive on every nonzero vector of the cone; raises where no
@@ -143,6 +156,35 @@ class Cone:
     def default_unit(self) -> np.ndarray:
         """Float copy of :meth:`exact_default_unit`."""
         return np.array(self.exact_default_unit(), dtype=float)
+
+
+class RayImages:
+    """Pairings ``<h, M g>`` of a finite cone's dual rays h (rows) with the
+    images of its extreme rays g (columns) under a map M.
+
+    Exact pairings (``norms`` None) are Python ints of positive multiples
+    of M, h and g, which keep every sign.  Float pairings pair the unit
+    dual rows with the images of float rays, and ``norms`` holds each
+    image's norm: a pairing within ``eps_interior`` times that norm of 0
+    counts as 0, the rule of the cone's float ``contains``.  ``incidence``
+    marks, exactly, the dual rays that vanish on each extreme ray: the
+    zero set ``Z(g)`` of its face.
+    """
+
+    def __init__(self, pairings, norms, incidence):
+        self.pairings = pairings
+        self.norms = norms
+        self.incidence = incidence
+
+    @property
+    def exact(self) -> bool:
+        return self.norms is None
+
+    def signs(self, mode: ScalarMode = FLOAT_MODE) -> np.ndarray:
+        """-1, 0 or 1 for each pairing, at mode's ``eps_interior``."""
+        p = self.pairings
+        margin = 0 if self.exact else mode.eps_interior * self.norms
+        return (p > margin).astype(np.int8) - (p < -margin).astype(np.int8)
 
 
 def _float_rows(rows) -> list:
@@ -191,6 +233,12 @@ class Orthant(Cone):
 
     def dual(self):
         return self  # self-dual
+
+    def ray_images(self, matrix) -> RayImages:
+        """The matrix itself: the rays and dual rays are the unit vectors."""
+        return RayImages(matrix, None if matrix.dtype == object else
+                         np.linalg.norm(matrix, axis=0),
+                         ~np.eye(self.dim, dtype=bool))
 
     def extremal_generators(self):
         return list(np.eye(self.dim))
@@ -306,10 +354,10 @@ class Polyhedral(Cone):
 
     The constructor verifies that the generators span the ambient space and
     that the cone is pointed, and enumerates the extreme rays of the dual
-    cone exactly.  The generators and dual rays are kept as primitive
+    cone exactly.  The extreme rays and dual rays are kept as primitive
     integer rows, so an exact ``contains`` is the signs of one product of
     the dual rays with an integer multiple of the vector, and an exact
-    ``dual_contains`` the same against the generators.
+    ``dual_contains`` the same against the extreme rays.
     """
 
     #: guard against combinatorial blow-up of dual-ray enumeration
@@ -330,8 +378,10 @@ class Polyhedral(Cone):
         if exact_rank(ints) != d:
             raise ValueError("generators do not span the ambient space; "
                              "the cone would have empty interior")
-        self._set_rays(gens, self._enumerate_dual_rays(ints, d))
-        self._extremal = self._minimal_generators()
+        dual_rays = self._enumerate_dual_rays(ints, d)
+        self._gens = gens
+        self._set_rays(self._minimal_generators(gens, ints, dual_rays),
+                       dual_rays)
 
     @classmethod
     def _from_rays(cls, extremal, dual_rays):
@@ -340,20 +390,25 @@ class Polyhedral(Cone):
         enumeration runs."""
         cone = object.__new__(cls)
         cone.dim = len(extremal[0])
+        cone._gens = extremal
         cone._set_rays(extremal, dual_rays)
-        cone._extremal = extremal
         return cone
 
-    def _set_rays(self, gens, dual_rays):
-        """Keep the generators (Fractions) and the dual rays (primitive
+    def _set_rays(self, extremal, dual_rays):
+        """Keep the extreme rays (Fractions) and the dual rays (primitive
         integer rows): both as primitive integer arrays for the exact
-        queries and as unit float rows, the dual rays also as Fractions."""
-        self._gens = gens
+        queries and as unit float rows, the primitive extreme rays also as
+        floats and the dual rays as Fractions, and which dual ray vanishes
+        on which extreme ray."""
+        self._extremal = extremal
         self._dual_rays = [[Fraction(v) for v in y] for y in dual_rays]
-        self._gens_int = np.array([_primitive(g) for g in gens], dtype=object)
+        self._gens_int = np.array([_primitive(g) for g in extremal],
+                                  dtype=object)
         self._dual_int = np.array(dual_rays, dtype=object)
-        self._gens_f = _unit_rows(gens)
-        self._dual_f = _unit_rows(dual_rays)
+        self._rays_f = self._gens_int.astype(float)
+        self._gens_f = _unit_rows(self._rays_f)
+        self._dual_f = _unit_rows(self._dual_int.astype(float))
+        self._incidence = (self._dual_int @ self._gens_int.T) == 0
 
     @staticmethod
     def _exact_gen(g):
@@ -398,15 +453,16 @@ class Polyhedral(Cone):
             raise ValueError("cone is not pointed: it contains a line")
         return rays
 
-    def _minimal_generators(self):
+    @staticmethod
+    def _minimal_generators(gens, ints, dual_rays):
         """The generators on d-1 independent facets, one per ray."""
-        zeros = (self._dual_int @ self._gens_int.T) == 0
+        duals = np.array(dual_rays, dtype=object)
+        zeros = (duals @ np.array(ints, dtype=object).T) == 0
         out = []
         seen = set()
-        for g, ray, active in zip(self._gens, self._gens_int, zeros.T):
-            rank = exact_rank(self._dual_int[active].tolist()) \
-                if active.any() else 0
-            if rank == self.dim - 1:
+        for g, ray, active in zip(gens, ints, zeros.T):
+            rank = exact_rank(duals[active].tolist()) if active.any() else 0
+            if rank == duals.shape[1] - 1:
                 key = tuple(ray)
                 if key not in seen:
                     seen.add(key)
@@ -440,6 +496,18 @@ class Polyhedral(Cone):
     def interior_dual_contains(self, y, mode=FLOAT_MODE):
         return self._dots(self._gens_int, self._gens_f, y, mode, strict=True)
 
+    def ray_images(self, matrix) -> RayImages:
+        """``D M G^T`` for D the dual rays and G the extreme rays: one
+        product of Python ints for an integer object array M; for a float
+        M, of the unit dual rows with the primitive integer rays as floats,
+        as the float ``contains`` of each image would pair them."""
+        if matrix.dtype == object:
+            return RayImages(self._dual_int @ (matrix @ self._gens_int.T),
+                             None, self._incidence)
+        images = matrix @ self._rays_f.T
+        return RayImages(self._dual_f @ images,
+                         np.linalg.norm(images, axis=0), self._incidence)
+
     def exact_extremal_generators(self):
         return [list(g) for g in self._extremal]
 
@@ -461,10 +529,8 @@ class Polyhedral(Cone):
             [_primitive(g) for g in self._extremal])
 
 
-def _unit_rows(rows):
-    arr = np.array([[float(v) for v in r] for r in rows])
-    norms = np.linalg.norm(arr, axis=1, keepdims=True)
-    return arr / norms
+def _unit_rows(arr):
+    return arr / np.linalg.norm(arr, axis=1, keepdims=True)
 
 
 class TensorCone(Cone):
@@ -571,6 +637,9 @@ class TensorCone(Cone):
     def interior_dual_contains(self, y, mode=FLOAT_MODE):
         return self._query("interior_dual_contains", y, mode,
                            "dual-interior membership")
+
+    def ray_images(self, matrix) -> RayImages:
+        return self._finite().ray_images(matrix)
 
     def extremal_generators(self):
         return self._finite().extremal_generators()

@@ -330,6 +330,15 @@ def chain_pair(chain: list) -> "MultiplicityPair":
 # the spectrum of one map
 # ---------------------------------------------------------------------------
 
+def _snap(x: float) -> Fraction | None:
+    """The rational with denominator at most 10^6 nearest x, if it is
+    positive and within ``1e-7 max(1, x)`` of x; else None."""
+    cand = Fraction(x).limit_denominator(10 ** 6)
+    if cand <= 0 or abs(float(cand) - x) > 1e-7 * max(1.0, x):
+        return None
+    return cand
+
+
 def _float_pair(algebraic: int, sv: np.ndarray, scale: float,
                 mode: ScalarMode) -> MultiplicityPair:
     """Float multiplicities from an algebraic count and the singular values
@@ -337,6 +346,16 @@ def _float_pair(algebraic: int, sv: np.ndarray, scale: float,
     the largest or ``scale``, clamped to ``[1, algebraic]``."""
     geometric = int(np.count_nonzero(sv <= mode.eps_rank * max(sv[0], scale)))
     return MultiplicityPair(max(1, min(geometric, algebraic)), algebraic)
+
+
+def _offsets(ev: np.ndarray) -> np.ndarray:
+    """``|lam_i lam_j - 1|`` over the eigenvalues ``ev``."""
+    return np.abs(np.multiply.outer(ev, ev) - 1.0)
+
+
+def _gaps(ev: np.ndarray) -> np.ndarray:
+    """``|lam_i - lam_j|`` over the eigenvalues ``ev``."""
+    return np.abs(ev[:, None] - ev[None, :])
 
 
 def _cluster_labels(close: np.ndarray) -> np.ndarray:
@@ -360,16 +379,19 @@ class Spectrum:
     multiplicity at 1 follows from the Jordan structure of A at the
     eigenvalue clusters whose products reach 1.  The singular values of the
     powers of ``A/r - lam I`` at those clusters are cached per cluster, and
-    only clusters of two or more eigenvalues need them.  ``chain_r`` is an
-    exact kernel chain (see ``_kernel_chain``), empty without a verified
-    rational radius; ``kron_r2_pair`` is certified modulo a prime, with the
-    exact kernel chain of the square as the fallback.
+    only clusters of two or more eigenvalues need them.  A Jordan block at
+    r that rounding split past ``eps_cluster`` counts as one eigenvalue of
+    its cluster's size (``_split_peak``).  ``chain_r`` is an exact kernel
+    chain (see ``_kernel_chain``), empty without a verified rational
+    radius; ``kron_r2_pair`` is certified modulo a prime, with the exact
+    kernel chain of the square as the fallback.
     """
 
     def __init__(self, matrix: np.ndarray, exact: ExactMatrix | None = None):
         self.matrix = matrix
         self.exact = exact
         self._cluster_sv = {}
+        self._split_peaks = {}
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
@@ -407,13 +429,42 @@ class Spectrum:
         eigenvalues within ``eps_cluster`` of r; geometric, ``_float_pair``
         of the singular values of ``A/r - I``.  They are computed only when
         the algebraic count is 2 or more, since the clamp fixes a count of
-        0 or 1."""
+        0 or 1.  A split Jordan block at r (see ``_split_peak``) counts
+        instead as its cluster: algebraic, the cluster's size; geometric,
+        the first entry of its rank profile."""
+        split = self._split_peak(mode)
+        if split is not None:
+            members, profile = split
+            return MultiplicityPair(profile[0], len(members))
         algebraic = int(np.count_nonzero(
             np.abs(self.eigenvalues / self.r - 1.0) <= mode.eps_cluster))
         if algebraic <= 1:
             return MultiplicityPair(algebraic, algebraic)
         return _float_pair(algebraic, self._shift_sv,
                            self.norm2 / self.r + 1.0, mode)
+
+    def _split_peak(self, mode: ScalarMode):
+        """``(members, profile)`` when the eigenvalues of A/r within
+        ``sqrt(eps_cluster)`` of 1 are numerically one defective
+        eigenvalue that rounding split past ``eps_cluster``, else None.
+        Rounding splits a Jordan block of size k by about ``eps^(1/k)``.
+        The cluster counts as one eigenvalue when some member lies beyond
+        ``eps_cluster`` (else the plain count sees them all) and its rank
+        profile at ``eps_rank`` cutoffs, at the cluster mean, covers all
+        of them with a block of size 2 or more.  ``eps_rank`` and not
+        ``eps_cluster`` cutoffs: a semisimple pair a few ``eps_cluster``
+        apart must stay two eigenvalues."""
+        if mode not in self._split_peaks:
+            found = None
+            offsets = np.abs(self.eigenvalues / self.r - 1.0)
+            members = np.flatnonzero(offsets <= math.sqrt(mode.eps_cluster))
+            if len(members) >= 2 and \
+                    np.any(offsets[members] > mode.eps_cluster):
+                profile = self._rank_profile(members, mode.eps_rank)
+                if len(profile) >= 2 and sum(profile) == len(members):
+                    found = (members, profile)
+            self._split_peaks[mode] = found
+        return self._split_peaks[mode]
 
     def kron_peak_pair(self, mode: ScalarMode) -> MultiplicityPair:
         """Float multiplicities of r^2 on the Kronecker square, from d x d
@@ -435,13 +486,22 @@ class Spectrum:
         ``eps_rank ((||A||/r)^2 + 1)`` of 1 are counted instead: the cutoff
         of the singular values of the square, which for a normal A are
         exactly those offsets.  The count is clamped to ``[1, algebraic]``
-        and taken only when the algebraic count is 2 or more.
+        and taken only when the algebraic count is 2 or more.  A split
+        Jordan block at r (``_split_peak``) is r itself: its members read
+        as exactly 1 and form one cluster with the block's rank profile.
         """
-        near = self._kron_offsets <= mode.eps_cluster
+        split = self._split_peak(mode)
+        if split is None:
+            offsets, gaps = self._kron_offsets, self._eigen_gaps
+        else:
+            ev = self.eigenvalues / self.r
+            ev[split[0]] = 1.0
+            offsets, gaps = _offsets(ev), _gaps(ev)
+        near = offsets <= mode.eps_cluster
         algebraic = int(np.count_nonzero(near))
         if algebraic <= 1:
             return MultiplicityPair(algebraic, algebraic)
-        label = _cluster_labels(self._eigen_gaps <= mode.eps_cluster)
+        label = _cluster_labels(gaps <= mode.eps_cluster)
         sizes = np.bincount(label)
         kept = np.flatnonzero(np.bincount(label[near.any(axis=1)],
                                           minlength=len(label)))
@@ -449,13 +509,16 @@ class Spectrum:
         defective = {}
         for c in kept[sizes[kept] > 1]:
             members = np.flatnonzero(label == c)
-            profile = self._rank_profile(members, mode)
+            if split is not None and np.array_equal(members, split[0]):
+                profile = split[1]
+            else:
+                profile = self._rank_profile(members, mode.eps_cluster)
             if profile != [len(members)]:
                 semisimple[members] = False
                 defective[c] = profile
         cutoff = mode.eps_rank * ((self.norm2 / self.r) ** 2 + 1.0)
         geometric = int(np.count_nonzero(
-            near & (self._kron_offsets <= cutoff)
+            near & (offsets <= cutoff)
             & np.multiply.outer(semisimple, semisimple)))
         if defective:
             profiles = {c: defective.get(c, [sizes[c]]) for c in kept}
@@ -469,29 +532,27 @@ class Spectrum:
     @cached_property
     def _kron_offsets(self) -> np.ndarray:
         """``|lam_i lam_j - 1|`` over the eigenvalues of A/r."""
-        ev = self.eigenvalues / self.r
-        return np.abs(np.multiply.outer(ev, ev) - 1.0)
+        return _offsets(self.eigenvalues / self.r)
 
     @cached_property
     def _eigen_gaps(self) -> np.ndarray:
         """``|lam_i - lam_j|`` over the eigenvalues of A/r."""
-        ev = self.eigenvalues / self.r
-        return np.abs(ev[:, None] - ev[None, :])
+        return _gaps(self.eigenvalues / self.r)
 
-    def _rank_profile(self, members: np.ndarray, mode: ScalarMode) -> list:
+    def _rank_profile(self, members: np.ndarray, eps: float) -> list:
         """``[n_1, n_2, ...]`` for the cluster of eigenvalues ``members`` of
         A/r: ``n_k = dim ker B^k - dim ker B^(k-1)`` is the number of its
         Jordan blocks of size k or more, for ``B = A/r - lam I`` and lam the
         cluster mean.  ``dim ker B^k`` counts the singular values of B^k at
-        most ``eps_cluster (||A||/r + 1)^k``, up to the cluster size; the
-        profile stops when it stops growing."""
+        most ``eps (||A||/r + 1)^k``, up to the cluster size; the profile
+        stops when it stops growing."""
         size = len(members)
         scale = self.norm2 / self.r + 1.0
         profile, dim = [], 0
         for k in range(1, size + 1):
             sv = self._power_sv(tuple(members), k)
             grown = min(size, int(np.count_nonzero(
-                sv <= mode.eps_cluster * scale ** k)))
+                sv <= eps * scale ** k)))
             if grown <= dim:
                 break
             profile.append(grown - dim)
@@ -531,23 +592,39 @@ class Spectrum:
         return tuple(out)
 
     @cached_property
-    def _r_candidate(self) -> Fraction | None:
-        cand = Fraction(self.r).limit_denominator(10 ** 6)
-        if self.exact is None or cand <= 0 or \
-                abs(float(cand) - self.r) > 1e-7 * max(1.0, self.r):
-            return None
-        return cand
+    def _r_chain(self) -> tuple:
+        """``(r, chain)``: r as a small-denominator rational verified to be
+        an exact eigenvalue, with its kernel chain; ``(None, [])`` when no
+        snap verifies.  The snap of the float r comes first.  When it
+        verifies nothing and two or more eigenvalues lie within ``1e-4 r``
+        of r (a Jordan block that rounding split past the snap window),
+        the snap of their mean is taken if its algebraic multiplicity
+        equals the cluster's size."""
+        if self.exact is None:
+            return None, []
+        cand = _snap(self.r)
+        chain = [] if cand is None else _kernel_chain(self.exact, cand)
+        if chain:
+            return cand, chain
+        cluster = self.eigenvalues[
+            np.abs(self.eigenvalues - self.r) <= 1e-4 * self.r]
+        mean = _snap(float(np.mean(cluster).real)) \
+            if len(cluster) >= 2 else None
+        if mean is not None and mean != cand:
+            chain = _kernel_chain(self.exact, mean)
+            if chain_pair(chain).algebraic == len(cluster):
+                return mean, chain
+        return None, []
 
-    @cached_property
+    @property
     def chain_r(self) -> list:
-        """Kernel chain at the small-denominator rational next to r."""
-        cand = self._r_candidate
-        return [] if cand is None else _kernel_chain(self.exact, cand)
+        """Kernel chain at the verified rational radius, else empty."""
+        return self._r_chain[1]
 
     @property
     def r_exact(self) -> Fraction | None:
         """r as a rational verified to be an exact eigenvalue, else None."""
-        return self._r_candidate if self.chain_r else None
+        return self._r_chain[0]
 
     @cached_property
     def kron_r2_pair(self) -> MultiplicityPair:

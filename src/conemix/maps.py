@@ -27,6 +27,7 @@ from .cones import (
     Orthant,
     Psd,
     Polyhedral,
+    RayImages,
     TensorCone,
     UnsupportedConeOperation,
     validate_unit,
@@ -36,7 +37,6 @@ from .linalg import (
     ScalarMode,
     Spectrum,
     _integer_multiple,
-    _integer_rows,
     as_exact,
 )
 
@@ -100,6 +100,15 @@ class DynMap:
     def spectrum(self) -> Spectrum:
         """Spectral facts of the map, each computed once on first use."""
         return Spectrum(self.matrix, self.exact)
+
+    @cached_property
+    def ray_images(self) -> RayImages:
+        """The cone's dual rays paired with the images of its extreme rays
+        (:meth:`~conemix.cones.Cone.ray_images`), on an integer multiple
+        of an exact map; raises where the cone has no finite ray list."""
+        return self.cone.ray_images(
+            self.matrix if self.exact is None
+            else _integer_multiple(self.exact))
 
 
 def _own_matrix(a: DynMap) -> np.ndarray:
@@ -261,9 +270,9 @@ def is_positive(a: DynMap, mode: ScalarMode = FLOAT_MODE) -> PositivityVerdict:
     """Does the map send its cone into itself?
 
     Orthant cones are decided on the entries; polyhedral and finite tensor
-    cones on the image of every exact extremal generator, in the map's own
-    arithmetic (an exact map on integers: positive multiples of the map
-    and of each generator move no image across the cone's boundary).  For
+    cones on the signs of ``DynMap.ray_images``: no dual ray pairs
+    negatively with the image of an extreme ray (exactly for an exact map,
+    at ``eps_interior`` for a float one).  For
     the PSD cone the question is only semi-decidable: a PSD Choi matrix
     certifies yes (complete positivity implies positivity), a sampled pure
     state whose image has a negative eigenvalue certifies no, and otherwise
@@ -283,20 +292,16 @@ def is_positive(a: DynMap, mode: ScalarMode = FLOAT_MODE) -> PositivityVerdict:
 
     if isinstance(cone, (Polyhedral, TensorCone)):
         try:
-            if a.exact is None:
-                images = [a.matrix @ g for g in cone.extremal_generators()]
-            else:
-                gens = _integer_rows(cone.exact_extremal_generators())
-                images = (_integer_multiple(a.exact)
-                          @ np.array(gens, dtype=object).T).T
+            signs = a.ray_images.signs(mode)
         except UnsupportedConeOperation:
             return PositivityVerdict(
                 "unknown", "tensor cone with PSD operands: no finite "
                 "generator test")
-        for idx, image in enumerate(images):
-            if not cone.contains(image, mode):
-                return PositivityVerdict(
-                    "no", f"image of extremal generator {idx} leaves the cone")
+        leaving = np.flatnonzero((signs < 0).any(axis=0))
+        if leaving.size:
+            return PositivityVerdict(
+                "no", f"image of extremal generator {leaving[0]} leaves the "
+                "cone")
         return PositivityVerdict("yes", "every extremal generator maps into "
                                         "the cone")
 

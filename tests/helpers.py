@@ -11,7 +11,8 @@ from conemix import FLOAT_MODE, RATIONAL_MODE, Digraph, MultiplicityPair, \
     UnsupportedConeOperation, adjoint, from_kraus, from_matrix, \
     from_stochastic, strongly_connected, tensor_product_digraph
 from conemix.classify import Route, _margin_probe
-from conemix.linalg import _kernel_chain, as_exact, chain_pair
+from conemix.linalg import _integer_multiple, _integer_rows, _kernel_chain, \
+    as_exact, chain_pair, exact_shift
 
 
 def random_stochastic_exact(rng, d):
@@ -519,3 +520,104 @@ def reference_generator_routes_exact(a, gens, dual_gens):
             v = own @ v
         reachable = reachable and all(hit)
     return binomial, reachable
+
+
+# ---------------------------------------------------------------------------
+# the generator routes for irreducibility that the face-lattice routes
+# replaced, kept as references
+# ---------------------------------------------------------------------------
+
+def _binomial_power_route(a, gens, mode):
+    """(I + A)^(d-1) sends every extremal generator to the interior.  An
+    exact map runs on integers: a positive multiple of I + A and of each
+    generator moves no image across the cone's boundary."""
+    if a.exact is None:
+        step, gens = np.eye(a.dim) + a.matrix, np.array(gens, dtype=float)
+    else:
+        step = _integer_multiple(exact_shift(a.exact, -1))
+        gens = np.array(_integer_rows(gens), dtype=object)
+    power = np.linalg.matrix_power(step, a.dim - 1)
+    images = [power @ g for g in gens]
+    return _margin_probe(
+        lambda m: all(a.cone.interior_contains(x, m) for x in images),
+        mode, a.exact is not None)
+
+
+def _reachability_route(a, gens, dual_gens, mode):
+    """Every (generator, dual generator) pair has a strictly positive
+    pairing within d-1 applications of the map (support reachability).
+    An exact map runs on integers, positive multiples of the map and of
+    each generator and dual generator, which keep every pairing's sign."""
+    d = a.dim
+    if a.exact is not None:
+        step = _integer_multiple(a.exact)
+        duals = np.array(_integer_rows(dual_gens), dtype=object)
+        for v in np.array(_integer_rows(gens), dtype=object):
+            hit = np.zeros(len(duals), dtype=bool)
+            for _ in range(d):
+                hit |= duals @ v > 0
+                if hit.all():
+                    break
+                v = step @ v
+            if not hit.all():
+                return Route(False, True)
+        return Route(True, True)
+
+    duals_f = np.array(dual_gens, dtype=float)
+    # pairings with the dual generators (step, dual, generator), and the
+    # norm (step, 1, generator), of the first d images of all generators
+    images = np.array(gens, dtype=float).T
+    dots, norms = [], []
+    for _ in range(d):
+        dots.append(duals_f @ images)
+        norms.append(np.maximum(1e-300, np.linalg.norm(images, axis=0)))
+        images = a.matrix @ images
+    dots, norms = np.array(dots), np.array(norms)[:, None, :]
+    return _margin_probe(
+        lambda m: bool(np.all(np.any(dots > m.eps_interior * norms,
+                                     axis=0))), mode)
+
+
+def generator_route_references(a, mode=FLOAT_MODE):
+    """``binomial-power`` and ``reachability`` on a map whose cone has
+    finite ray lists, read in the map's arithmetic: Fractions for an exact
+    map, floats otherwise."""
+    if a.exact is None:
+        gens, duals = a.cone.extremal_generators(), a.cone.dual_generators()
+    else:
+        gens = a.cone.exact_extremal_generators()
+        duals = a.cone.exact_dual_generators()
+    return {"binomial-power": _binomial_power_route(a, gens, mode),
+            "reachability": _reachability_route(a, gens, duals, mode)}
+
+
+def seeded_face_route_maps(seed):
+    """(name, map) for cone-positive maps on ``seeded_polyhedral_cones``:
+    sparse and dense ``generator_map`` weights, with and without an
+    identity shift, plus the square rotation and its shift; exact and
+    float, each followed by its adjoint."""
+    rng = np.random.default_rng(seed)
+    rotation = [[1, 0, 0], [0, 0, -1], [0, 1, 0]]
+    for name, cone in seeded_polyhedral_cones(rng).items():
+        gens = cone.exact_extremal_generators()
+        duals = cone.exact_dual_generators()
+        mats = {}
+        for k in range(3):
+            # sum w_ij g_i h_j^T, a quarter of the weights w_ij nonzero
+            w = rng.integers(1, 4, size=(len(gens), len(duals))) \
+                * (rng.random((len(gens), len(duals))) < 0.25)
+            m = np.array(gens, dtype=object).T @ w.astype(object) \
+                @ np.array(duals, dtype=object)
+            mats[f"sparse-{k}"] = m.tolist()
+            mats[f"sparse-id-{k}"] = (m + np.eye(cone.dim, dtype=int)).tolist()
+            mats[f"dense-{k}"] = generator_map(rng, gens, duals)
+        if name == "square":
+            mats["rotation"] = rotation
+            mats["rotation-id"] = [[v + (i == j) for j, v in enumerate(row)]
+                                   for i, row in enumerate(rotation)]
+        for label, m in mats.items():
+            for a in (from_matrix(m, cone), from_matrix(to_float_rows(m),
+                                                        cone)):
+                kind = "exact" if a.exact is not None else "float"
+                yield f"{name}:{label}:{kind}", a
+                yield f"{name}:{label}:{kind}:adjoint", adjoint(a)

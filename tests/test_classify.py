@@ -1,3 +1,4 @@
+import importlib
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ from conemix import (
     Orthant,
     Polyhedral,
     Psd,
+    RATIONAL_MODE,
     TensorCone,
     ZeroSpectralRadiusError,
     adjoint,
@@ -32,7 +34,8 @@ from conemix import (
     tensor_product_digraph,
     tensor_scc_count,
 )
-from conemix.classify import irreducible_routes, mixing_routes
+from conemix.classify import irreducible_routes, mixing_routes, \
+    primitive_routes
 from helpers import random_dense_stochastic, random_kraus_channel, \
     random_stochastic_map
 
@@ -402,15 +405,18 @@ def test_deformation_preserves_irreducibility_and_primitivity():
 def test_polyhedral_cone_routes_agree():
     cone = Polyhedral([[1, 0], [1, 1]])
     positive_def = from_matrix([[2, 1], [1, 1]], cone)
-    routes = irreducible_routes(positive_def)
-    assert set(routes) >= {"interior-pair", "binomial-power", "reachability"}
-    assert len({r.value for r in routes.values()}) == 1
+    for routes, face in ((irreducible_routes(positive_def), "face-closure"),
+                         (primitive_routes(positive_def), "face-orbit")):
+        assert set(routes) == {"interior-pair", face}
+        assert all(r.value for r in routes.values())
+        assert routes[face].exact
     assert is_irreducible(positive_def)
     assert is_primitive(positive_def)
 
     ident = from_matrix([[1, 0], [0, 1]], cone)
-    routes = irreducible_routes(ident)
-    assert not any(r.value for r in routes.values())
+    for routes in (irreducible_routes(ident), primitive_routes(ident)):
+        assert len(routes) == 2
+        assert not any(r.value for r in routes.values())
 
 
 def test_primitive_iff_tensor_square_irreducible_on_wedge():
@@ -537,6 +543,95 @@ def test_mixing_routes_all_present_for_exact_dup():
     assert all(r.value for r in routes.values())
 
 
+# ---------------------------------------------------------------------------
+# a Jordan block at r that rounding splits past the snap window
+# ---------------------------------------------------------------------------
+
+#: maps on cyclic-polytope cones k (1, t, ..., t^(d-1)), given by their
+#: (t, k) points, whose Jordan block at r LAPACK splits by about 1e-7 to
+#: 1e-6 relative: the exact radius snap missed r, or snapped to a wrong
+#: fraction, and the float routes counted one eigenvalue
+SPLIT_PEAK_MAP = [[19, -12, 2, 0], [54, -35, 6, 0], [162, -108, 19, 0],
+                  [486, -324, 54, 1]]
+SPLIT_PEAK_CASES = [
+    (SPLIT_PEAK_MAP, [(-5, 2), (-4, 1), (-3, 3), (-1, 1), (0, 3), (1, 2),
+                      (2, 3), (3, 2)]),
+    ([[83, 54, 9, 0], [-243, -160, -27, 0], [729, 486, 83, 0],
+      [-2187, -1458, -243, 2]],
+     [(-5, 3), (-4, 2), (-3, 3), (-2, 3), (1, 3), (2, 1), (3, 2), (4, 3)]),
+    (SPLIT_PEAK_MAP, [(-4, 2), (-3, 2), (-2, 2), (0, 1), (1, 1), (3, 1),
+                      (4, 2), (5, 3)]),
+    ([[37, 36, 9, 0], [-72, -71, -18, 0], [144, 144, 37, 0],
+      [-288, -288, -72, 1]],
+     [(-4, 2), (-2, 3), (-1, 3), (1, 3), (2, 3), (3, 2), (4, 1), (5, 3)]),
+    (SPLIT_PEAK_MAP, [(-4, 2), (-2, 2), (0, 3), (1, 1), (2, 1), (3, 2),
+                      (4, 2), (5, 1)]),
+    ([[1458, 0, -324, 0, 24, 0], [0, 0, 0, 0, -18, 0],
+      [8748, 0, -1944, 0, 162, 0], [0, 0, 0, 0, -162, 0],
+      [78732, 0, -17496, 0, 1458, 0], [0, 0, 0, 0, -1458, 0]],
+     [(-3, 3), (-2, 1), (-1, 2), (0, 3), (1, 3), (2, 1), (3, 2)]),
+    ([[60, 36, 6, 0], [-126, -72, -12, 0], [270, 144, 24, 0],
+      [-594, -288, -48, 0]],
+     [(-3, 3), (-2, 2), (-1, 1), (0, 2), (1, 3), (2, 1), (3, 3), (5, 1)]),
+    (SPLIT_PEAK_MAP, [(-4, 3), (-3, 2), (-2, 3), (-1, 1), (0, 1), (3, 1),
+                      (4, 3), (5, 3)]),
+    (SPLIT_PEAK_MAP, [(-5, 2), (-3, 1), (-2, 3), (-1, 2), (0, 3), (2, 2),
+                      (3, 1), (5, 3)]),
+]
+
+
+@pytest.mark.parametrize("matrix, points", SPLIT_PEAK_CASES)
+def test_split_jordan_block_at_r_verdicts_agree(matrix, points):
+    d = len(matrix)
+    cone = Polyhedral([[k * t ** i for i in range(d)] for t, k in points])
+    exact = from_matrix(matrix, cone)
+    floats = from_matrix(np.array(matrix, dtype=float), cone)
+    reports = [classify(exact, RATIONAL_MODE), classify(floats),
+               classify(adjoint(exact), RATIONAL_MODE),
+               classify(adjoint(floats))]
+    assert exact.spectrum.r_exact is not None
+    assert "ergodic:algebraic-multiplicity" in reports[0].criteria_fired
+    assert all(r.verdicts() == reports[0].verdicts() for r in reports)
+    for r in reports:
+        assert not [f for f in r.hypothesis_flags
+                    if f.startswith(("route-disagreement", "lattice"))]
+
+
+def test_split_jordan_block_multiplicities():
+    # eigenvalue 1 with one 2x2 Jordan block: algebraic 4, geometric 3;
+    # LAPACK gives 1 +- 5.1e-7, 1, 1
+    for m in (SPLIT_PEAK_MAP, np.array(SPLIT_PEAK_MAP, dtype=float)):
+        a = from_matrix(m, Orthant(4))
+        report = classify(a)
+        assert report.multiplicity_r == (3, 4)
+        assert report.multiplicity_r2_kron == (10, 16)
+        assert not report.ergodic and not report.mixing
+    assert from_matrix(SPLIT_PEAK_MAP, Orthant(4)).spectrum.r_exact == 1
+
+
+# ---------------------------------------------------------------------------
+# classify decides each fact once
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("make", [
+    chain4,
+    lambda: from_matrix([[2, 1], [1, 1]], Polyhedral([[1, 0], [1, 1]])),
+    lambda: from_matrix(np.array([[2.0, 1.0], [1.0, 1.0]]),
+                        Polyhedral([[1, 0], [1, 1]])),
+], ids=["chain", "wedge-exact", "wedge-float"])
+def test_classify_builds_each_fact_once(monkeypatch, make):
+    cl = importlib.import_module("conemix.classify")
+    calls = []
+    for name in ("_stationary", "ergodic_routes", "mixing_routes"):
+        fn = getattr(cl, name)
+        monkeypatch.setattr(cl, name, lambda *args, _fn=fn, _name=name:
+                            calls.append(_name) or _fn(*args))
+    report = classify(make())
+    assert report.ergodic and report.primitive
+    assert sorted(calls) == ["_stationary", "ergodic_routes",
+                             "mixing_routes"]
+
+
 # float maps near the clustering cutoff: eigenvalues 1 and 1 - 2e, so the
 # eps_cluster = 1e-7 probes at 1e-8, 1e-7 and 1e-6 straddle the gap
 NEAR_IDENTITY_FLAGS = {
@@ -544,15 +639,12 @@ NEAR_IDENTITY_FLAGS = {
         "tolerance-marginal:ergodic:eigenvalue-cluster",
         "tolerance-marginal:mixing:spectral-gap",
         "route-disagreement:mixing:kron-geometric=True,spectral-gap=False",
-        "route-disagreement:irreducible:binomial-power=True,digraph=True,"
-        "interior-pair=False,reachability=True",
+        "route-disagreement:irreducible:digraph=True,interior-pair=False",
         "lattice-correction:mixing-without-ergodic",
         "lattice-correction:primitive-needs-mixing-irreducible"]),
     1e-9: (False, [
         "tolerance-marginal:mixing:kron-geometric",
-        "tolerance-marginal:irreducible:binomial-power",
-        "route-disagreement:irreducible:binomial-power=True,digraph=True,"
-        "interior-pair=False,reachability=True",
+        "route-disagreement:irreducible:digraph=True,interior-pair=False",
         "route-disagreement:primitive:aperiodic=True,interior-pair=False,"
         "kron-digraph=True",
         "no-stationary-pair: spectral radius has geometric multiplicity 2"]),

@@ -297,8 +297,9 @@ def test_from_stochastic_lists_no_orthant_rays(monkeypatch):
 
 
 def test_float_maps_on_orthants_list_no_exact_rays(monkeypatch):
-    # the generator routes of a float map read the cone's float rays, which
-    # an orthant (and orthant (x) orthant) answers as identity rows
+    # classify on an orthant (and orthant (x) orthant) lists no exact rays:
+    # positivity reads the matrix itself as the ray images, and classical
+    # cones take the digraph routes instead of the face-lattice ones
     calls = []
     rays = Orthant.exact_extremal_generators
     monkeypatch.setattr(Orthant, "exact_extremal_generators",
@@ -307,17 +308,47 @@ def test_float_maps_on_orthants_list_no_exact_rays(monkeypatch):
         random_chain(np.random.default_rng(4), 20, "periodic"))
     tensor = from_matrix(np.full((4, 4), 0.25),
                          TensorCone(Orthant(2), Orthant(2)))
-    for a in (chain, tensor):
-        assert {"binomial-power", "reachability"} <= \
-            set(irreducible_routes(a))
-        classify(a)
+    exact = from_stochastic([[0, 1], [1, 0]])
+    for a in (chain, tensor, exact):
+        routes = irreducible_routes(a)
+        assert "digraph" in routes and "face-closure" not in routes
+        assert classify(a).positivity.value == "yes"
     assert calls == []
-    # an exact map runs its generator routes on the exact rays
-    irreducible_routes(from_stochastic([[0, 1], [1, 0]]))
-    assert calls
-    # a PSD cone still has no generator routes
+    Orthant(3).exact_dual_generators()
+    assert calls  # the guard is not vacuous
+    # a PSD cone has no face-lattice routes either
     channel = random_kraus_channel(np.random.default_rng(4), 2)
-    assert "binomial-power" not in irreducible_routes(channel)
+    assert "face-closure" not in irreducible_routes(channel)
+
+
+@pytest.mark.parametrize("cone", [
+    Polyhedral([[1, 0, 0], [1, 1, 0], [1, 0, 1]]),
+    Polyhedral([[1, 1, 1], [1, -1, 1], [1, -1, -1], [1, 1, -1]]),
+    TensorCone(Polyhedral([[1, 0], [1, 1]]),
+               Polyhedral([[1, 1, 1], [1, -1, 1], [1, -1, -1], [1, 1, -1]])),
+], ids=["triangle", "square", "wedge(x)square"])
+def test_exact_positivity_is_one_sign_pattern(monkeypatch, cone):
+    # an exact polyhedral map is decided on the signs of D A G^T: no cone
+    # query runs per image of an extreme ray
+    rng = np.random.default_rng(29)
+    positive = generator_map(rng, cone.exact_extremal_generators(),
+                             cone.exact_dual_generators())
+    mixed = rng.integers(-3, 4, size=(cone.dim, cone.dim)).tolist()
+    calls = []
+    for cls in (Polyhedral, TensorCone):
+        for query in ("contains", "interior_contains"):
+            fn = getattr(cls, query)
+            monkeypatch.setattr(cls, query, lambda self, *args, _fn=fn:
+                                calls.append(1) or _fn(self, *args))
+    verdicts = [is_positive(from_matrix(m, cone)) for m in (positive, mixed)]
+    assert calls == []
+    assert [v.value for v in verdicts] == ["yes", "no"]
+    # the certificate names a ray whose image leaves the cone
+    k = int(verdicts[1].certificate.split()[4])
+    ray = cone.exact_extremal_generators()[k]
+    image = np.array(mixed, dtype=object) @ np.array(ray, dtype=object)
+    assert not cone.contains(image)
+    assert calls  # the guard is not vacuous
 
 
 def _transpose_on(a, cone):

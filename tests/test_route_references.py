@@ -1,25 +1,33 @@
-"""The stationary pair and the generator routes against their references.
+"""The stationary pair and the irreducible and primitive routes against
+their references.
 
 ``_stationary`` builds the pair once, in the map's own arithmetic, and the
-interior-pair, binomial-power and reachability routes all decide through
-``_margin_probe``.  The references in ``tests/helpers.py`` keep the
-earlier separate exact and float builds of the pair, the float
-reachability route with one matrix-vector product per generator per step,
-and the exact generator routes over Fractions, where the routes run on
+interior-pair and face-lattice routes decide through ``_margin_probe``.
+The references in ``tests/helpers.py`` keep the earlier separate exact and
+float builds of the pair, and the generator routes for irreducibility
+that the face-lattice routes replaced (binomial-power and reachability):
+their float reachability with one matrix-vector product per generator per
+step, and their exact versions over Fractions, where the routes run on
 integer multiples of the map and the generators.
 """
 
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from conemix import FLOAT_MODE, NotErgodicError, UnsupportedConeOperation, \
-    ZeroSpectralRadiusError
-from conemix.classify import _binomial_power_route, _interior_pair_route, \
-    _reachability_route, _stationary
-from helpers import reference_generator_routes_exact, \
+    ZeroSpectralRadiusError, adjoint, from_matrix, is_positive
+from conemix.cli import load_problem
+from conemix.cones import is_classical
+from conemix.classify import _interior_pair_route, _stationary, \
+    _stationary_or_error, irreducible_routes, primitive_routes
+from helpers import _binomial_power_route, _reachability_route, \
+    generator_route_references, reference_generator_routes_exact, \
     reference_interior_pair, reference_reachability_float, \
-    reference_stationary_exact, reference_stationary_float, route_corpus
+    reference_stationary_exact, reference_stationary_float, route_corpus, \
+    seeded_face_route_maps, to_float_rows
 
 NO_SIGN = "no sign of the Perron eigenvector lies in the cone"
 
@@ -84,7 +92,8 @@ def test_interior_pair_route_matches_reference():
             a.spectrum.positive_r()
         except ZeroSpectralRadiusError:
             continue
-        ours = _interior_pair_route(a, True, FLOAT_MODE)
+        ours = _interior_pair_route(
+            a, True, _stationary_or_error(a, FLOAT_MODE), FLOAT_MODE)
         ref = reference_interior_pair(a, FLOAT_MODE)
         assert (ours.value, ours.exact, ours.marginal) == \
             (ref.value, ref.exact, ref.marginal), name
@@ -129,3 +138,62 @@ def test_exact_generator_routes_match_fraction_reference():
         checked += 1
     assert checked >= 200
     assert {(True, True), (False, False)} <= seen
+
+
+# ---------------------------------------------------------------------------
+# the face-lattice routes against the generator routes and interior-pair
+# ---------------------------------------------------------------------------
+
+def _fixture_maps():
+    """The fixtures with an exact map, their float twins, and the adjoints
+    of both where the cone has a finite dual."""
+    for path in sorted(Path(__file__).parent.parent.glob("fixtures/*.json")):
+        a, _ = load_problem(path)
+        if a.exact is None:
+            continue
+        for b in (a, from_matrix(to_float_rows(a.exact), a.cone)):
+            yield path.stem, b
+            try:
+                yield f"{path.stem}:adjoint", adjoint(b)
+            except UnsupportedConeOperation:
+                pass
+
+
+#: each corpus, and the fewest exact (and float) maps it must check
+FACE_CORPORA = {
+    "route-corpus": (route_corpus, 10),
+    "fixtures": (_fixture_maps, 1),
+    "seeded": (lambda: (item for seed in range(3)
+                        for item in seeded_face_route_maps(seed)), 100),
+}
+
+
+@pytest.mark.parametrize("corpus", sorted(FACE_CORPORA))
+def test_face_routes_agree_with_generator_routes_and_interior_pair(corpus):
+    checked = {"exact": 0, "float": 0}
+    adjoints = irreducible = primitive = 0
+    maps, minimum = FACE_CORPORA[corpus]
+    for name, a in maps():
+        try:
+            irr = irreducible_routes(a)
+        except ZeroSpectralRadiusError:
+            continue
+        if "face-closure" not in irr:
+            assert is_classical(a.cone) or is_positive(a).value != "yes", \
+                name
+            continue
+        prim = primitive_routes(a)
+        refs = generator_route_references(a)
+        values = {n: r.value for n, r in {**irr, **refs}.items()}
+        assert len(set(values.values())) == 1, (name, values)
+        assert prim["face-orbit"].value == prim["interior-pair"].value, name
+        assert not prim["face-orbit"].value or irr["face-closure"].value
+        assert irr["face-closure"].exact == (a.exact is not None), name
+        checked["exact" if a.exact is not None else "float"] += 1
+        adjoints += name.endswith("adjoint")
+        irreducible += irr["face-closure"].value
+        primitive += prim["face-orbit"].value
+    assert min(checked.values()) >= minimum and adjoints >= minimum
+    if corpus == "seeded":
+        # both verdicts occur, and irreducible-but-not-primitive too
+        assert 0 < primitive < irreducible < sum(checked.values())
