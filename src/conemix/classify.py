@@ -1,7 +1,7 @@
 """Classification of cone-positive maps: ergodic, mixing, irreducible,
 primitive.
 
-Each verdict has at least two independent routes that are cross-checked:
+Each verdict has independent routes that are cross-checked:
 
 * ergodic -- algebraic multiplicity of the spectral radius (exact when the
   radius is rational), the fixed-space dimension (exact, for maps whose
@@ -19,6 +19,8 @@ Each verdict has at least two independent routes that are cross-checked:
   the same face map; for classical maps, Wielandt's boolean-power test on
   the map's pattern, and aperiodicity.
 
+Irreducible and primitive have the interior pair alone on PSD cones and
+for maps that are not positive on polyhedral and finite tensor cones.
 Exact routes are authoritative when the map carries rational data.
 :func:`classify` builds the stationary pair, the ergodic and mixing
 families and the face map once per report and hands them to the
@@ -462,20 +464,18 @@ def _face_verdicts(incidence: np.ndarray, moved: np.ndarray) -> tuple:
     return irreducible, primitive
 
 
-def _face_routes(a: DynMap, mode: ScalarMode) -> dict:
+def _face_routes(a: DynMap, mode: ScalarMode, positive: bool) -> dict:
     """``irreducible`` and ``primitive`` family routes from the face map
     (``_face_verdicts``), for a map on a polyhedral or finite tensor cone
-    whose ray images say it is positive at ``mode``; empty otherwise.  The
-    orthant has the digraph routes instead, the same lattice in
-    coordinates.  Each distinct sign pattern of the tolerance probes is
-    decided once."""
-    if is_classical(a.cone):
+    that ``is_positive`` at ``mode`` (``positive``, the caller's verdict);
+    empty otherwise.  The orthant has the digraph routes instead, the same
+    lattice in coordinates.  Each distinct sign pattern of the tolerance
+    probes is decided once."""
+    if not positive or is_classical(a.cone):
         return {}
     try:
         images = a.ray_images
-    except UnsupportedConeOperation:
-        return {}
-    if (images.signs(mode) < 0).any():
+    except UnsupportedConeOperation:  # PSD cones
         return {}
     decided = {}
 
@@ -535,7 +535,9 @@ def irreducible_routes(a: DynMap, mode: ScalarMode = FLOAT_MODE) -> dict:
     """
     ergodic = _resolve(ergodic_routes(a, mode)).value
     pair = _stationary_or_error(a, mode) if ergodic else None
-    return _irreducible_routes(a, mode, ergodic, pair, _face_routes(a, mode))
+    positive = is_positive(a, mode).value == "yes"
+    return _irreducible_routes(a, mode, ergodic, pair,
+                               _face_routes(a, mode, positive))
 
 
 def primitive_routes(a: DynMap, mode: ScalarMode = FLOAT_MODE) -> dict:
@@ -550,7 +552,9 @@ def primitive_routes(a: DynMap, mode: ScalarMode = FLOAT_MODE) -> dict:
     """
     mixing = _resolve(mixing_routes(a, mode)).value
     pair = _stationary_or_error(a, mode) if mixing else None
-    return _primitive_routes(a, mode, mixing, pair, _face_routes(a, mode))
+    positive = is_positive(a, mode).value == "yes"
+    return _primitive_routes(a, mode, mixing, pair,
+                             _face_routes(a, mode, positive))
 
 
 def _resolve(routes: dict) -> Route:
@@ -728,7 +732,7 @@ def classify(a: DynMap, mode: ScalarMode = FLOAT_MODE) -> ClassificationReport:
     ergodic_family = ergodic_routes(a, mode)
     mixing_family = mixing_routes(a, mode)
     pair = _stationary_or_error(a, mode)
-    faces = _face_routes(a, mode)
+    faces = _face_routes(a, mode, pos.value == "yes")
     families = {
         "ergodic": ergodic_family,
         "mixing": mixing_family,

@@ -378,37 +378,45 @@ class Polyhedral(Cone):
         if exact_rank(ints) != d:
             raise ValueError("generators do not span the ambient space; "
                              "the cone would have empty interior")
-        dual_rays = self._enumerate_dual_rays(ints, d)
+        dual_rays = np.array(self._enumerate_dual_rays(ints, d), dtype=object)
+        ints = np.array(ints, dtype=object)
+        incidence = (dual_rays @ ints.T) == 0
+        kept = self._minimal_generators(ints, dual_rays, incidence)
         self._gens = gens
-        self._set_rays(self._minimal_generators(gens, ints, dual_rays),
-                       dual_rays)
+        self._set_rays([gens[i] for i in kept], ints[kept], dual_rays,
+                       incidence[:, kept])
 
     @classmethod
-    def _from_rays(cls, extremal, dual_rays):
+    def _from_rays(cls, extremal, dual_rays, ints=None, incidence=None):
         """The cone with these exact extreme rays and spanning dual rays,
         primitive integer rows, which the caller vouches for: no
-        enumeration runs."""
+        enumeration runs.  ``ints`` (the extreme rays as primitive integer
+        rows) and ``incidence`` are derived when not given."""
         cone = object.__new__(cls)
         cone.dim = len(extremal[0])
         cone._gens = extremal
-        cone._set_rays(extremal, dual_rays)
+        if ints is None:
+            ints = [_primitive(g) for g in extremal]
+        ints = np.array(ints, dtype=object)
+        dual_rays = np.array(dual_rays, dtype=object)
+        if incidence is None:
+            incidence = (dual_rays @ ints.T) == 0
+        cone._set_rays(extremal, ints, dual_rays, incidence)
         return cone
 
-    def _set_rays(self, extremal, dual_rays):
-        """Keep the extreme rays (Fractions) and the dual rays (primitive
-        integer rows): both as primitive integer arrays for the exact
-        queries and as unit float rows, the primitive extreme rays also as
-        floats and the dual rays as Fractions, and which dual ray vanishes
-        on which extreme ray."""
+    def _set_rays(self, extremal, ints, dual_rays, incidence):
+        """Keep the extreme rays, as Fractions (``extremal``) and as the
+        primitive integer array ``ints``, and the primitive integer array
+        of the dual rays, for the exact queries; both also as unit float
+        rows, the primitive extreme rays also as floats; and ``incidence``,
+        which dual ray vanishes on which extreme ray."""
         self._extremal = extremal
-        self._dual_rays = [[Fraction(v) for v in y] for y in dual_rays]
-        self._gens_int = np.array([_primitive(g) for g in extremal],
-                                  dtype=object)
-        self._dual_int = np.array(dual_rays, dtype=object)
-        self._rays_f = self._gens_int.astype(float)
+        self._gens_int = ints
+        self._dual_int = dual_rays
+        self._rays_f = ints.astype(float)
         self._gens_f = _unit_rows(self._rays_f)
-        self._dual_f = _unit_rows(self._dual_int.astype(float))
-        self._incidence = (self._dual_int @ self._gens_int.T) == 0
+        self._dual_f = _unit_rows(dual_rays.astype(float))
+        self._incidence = incidence
 
     @staticmethod
     def _exact_gen(g):
@@ -454,19 +462,19 @@ class Polyhedral(Cone):
         return rays
 
     @staticmethod
-    def _minimal_generators(gens, ints, dual_rays):
-        """The generators on d-1 independent facets, one per ray."""
-        duals = np.array(dual_rays, dtype=object)
-        zeros = (duals @ np.array(ints, dtype=object).T) == 0
+    def _minimal_generators(ints, dual_rays, incidence):
+        """Indices of the generators on d-1 independent facets, one per
+        ray; ``incidence`` marks the facets of each generator."""
         out = []
         seen = set()
-        for g, ray, active in zip(gens, ints, zeros.T):
-            rank = exact_rank(duals[active].tolist()) if active.any() else 0
-            if rank == duals.shape[1] - 1:
+        for i, (ray, active) in enumerate(zip(ints, incidence.T)):
+            rank = exact_rank(dual_rays[active].tolist()) \
+                if active.any() else 0
+            if rank == dual_rays.shape[1] - 1:
                 key = tuple(ray)
                 if key not in seen:
                     seen.add(key)
-                    out.append(g)
+                    out.append(i)
         return out
 
     def __repr__(self):
@@ -512,7 +520,7 @@ class Polyhedral(Cone):
         return [list(g) for g in self._extremal]
 
     def exact_dual_generators(self):
-        return [list(y) for y in self._dual_rays]
+        return [[Fraction(v) for v in y] for y in self._dual_int]
 
     def exact_default_unit(self):
         """Column sums of the integer dual rays, as Fractions."""
@@ -525,8 +533,8 @@ class Polyhedral(Cone):
         and the dual's own dual rays are this cone's extreme rays.
         """
         return Polyhedral._from_rays(
-            self.exact_dual_generators(),
-            [_primitive(g) for g in self._extremal])
+            self.exact_dual_generators(), self._gens_int,
+            ints=self._dual_int, incidence=self._incidence.T)
 
 
 def _unit_rows(arr):

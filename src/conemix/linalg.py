@@ -99,6 +99,11 @@ class ZeroSpectralRadiusError(ValueError):
 #: relative floor below which a float spectral radius counts as zero
 RADIUS_FLOOR = 1e-9
 
+#: relative distance from r within which eigenvalues are searched for a
+#: Jordan block at r that rounding split (``Spectrum._r_chain`` and
+#: ``Spectrum._split_peak``)
+SPLIT_WINDOW = 1e-4
+
 
 # ---------------------------------------------------------------------------
 # exact-rational helpers
@@ -445,24 +450,35 @@ class Spectrum:
 
     def _split_peak(self, mode: ScalarMode):
         """``(members, profile)`` when the eigenvalues of A/r within
-        ``sqrt(eps_cluster)`` of 1 are numerically one defective
-        eigenvalue that rounding split past ``eps_cluster``, else None.
-        Rounding splits a Jordan block of size k by about ``eps^(1/k)``.
-        The cluster counts as one eigenvalue when some member lies beyond
-        ``eps_cluster`` (else the plain count sees them all) and its rank
-        profile at ``eps_rank`` cutoffs, at the cluster mean, covers all
-        of them with a block of size 2 or more.  ``eps_rank`` and not
+        ``SPLIT_WINDOW`` of 1 are numerically one defective eigenvalue that
+        rounding split past ``eps_cluster``, else None.  The cluster counts
+        as one eigenvalue when some member lies beyond ``eps_cluster``
+        (else the plain count sees them all), its rank profile at
+        ``eps_rank`` cutoffs, at the cluster mean, covers all of them with
+        a largest block of size k >= 2, and no member is farther from the
+        mean than rounding can split such a block: a backward error of
+        ``d u ||A||`` (u the unit roundoff) moves the eigenvalues of a
+        block of size k whose coupling is at most ``||A||/r + 1`` by at
+        most ``(d u)^(1/k) (||A||/r + 1)``.  ``eps_rank`` and not
         ``eps_cluster`` cutoffs: a semisimple pair a few ``eps_cluster``
-        apart must stay two eigenvalues."""
+        apart must stay two eigenvalues; the rounding bound: a simple r
+        next to a distinct eigenvalue coupled to it, such as
+        ``[[1, 1], [0, 1 - 1e-5]]``, passes the rank profile at
+        ``eps_rank`` but must stay simple."""
         if mode not in self._split_peaks:
             found = None
-            offsets = np.abs(self.eigenvalues / self.r - 1.0)
-            members = np.flatnonzero(offsets <= math.sqrt(mode.eps_cluster))
+            ev = self.eigenvalues / self.r
+            offsets = np.abs(ev - 1.0)
+            members = np.flatnonzero(offsets <= SPLIT_WINDOW)
             if len(members) >= 2 and \
                     np.any(offsets[members] > mode.eps_cluster):
                 profile = self._rank_profile(members, mode.eps_rank)
                 if len(profile) >= 2 and sum(profile) == len(members):
-                    found = (members, profile)
+                    spread = np.max(np.abs(ev[members] - ev[members].mean()))
+                    rounding = (len(ev) * np.finfo(float).eps) \
+                        ** (1.0 / len(profile)) * (self.norm2 / self.r + 1.0)
+                    if spread <= rounding:
+                        found = (members, profile)
             self._split_peaks[mode] = found
         return self._split_peaks[mode]
 
@@ -596,10 +612,10 @@ class Spectrum:
         """``(r, chain)``: r as a small-denominator rational verified to be
         an exact eigenvalue, with its kernel chain; ``(None, [])`` when no
         snap verifies.  The snap of the float r comes first.  When it
-        verifies nothing and two or more eigenvalues lie within ``1e-4 r``
-        of r (a Jordan block that rounding split past the snap window),
-        the snap of their mean is taken if its algebraic multiplicity
-        equals the cluster's size."""
+        verifies nothing and two or more eigenvalues lie within
+        ``SPLIT_WINDOW r`` of r (a Jordan block that rounding split past
+        the snap window), the snap of their mean is taken if its algebraic
+        multiplicity equals the cluster's size."""
         if self.exact is None:
             return None, []
         cand = _snap(self.r)
@@ -607,7 +623,7 @@ class Spectrum:
         if chain:
             return cand, chain
         cluster = self.eigenvalues[
-            np.abs(self.eigenvalues - self.r) <= 1e-4 * self.r]
+            np.abs(self.eigenvalues - self.r) <= SPLIT_WINDOW * self.r]
         mean = _snap(float(np.mean(cluster).real)) \
             if len(cluster) >= 2 else None
         if mean is not None and mean != cand:

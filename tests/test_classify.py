@@ -609,6 +609,24 @@ def test_split_jordan_block_multiplicities():
     assert from_matrix(SPLIT_PEAK_MAP, Orthant(4)).spectrum.r_exact == 1
 
 
+# a simple r next to a distinct eigenvalue coupled to it: the rank profile
+# at eps_rank reads one block of size 2, but the gap is wider than
+# rounding can split a Jordan block of this norm, so r stays simple, in
+# exact and float arithmetic alike
+@pytest.mark.parametrize("gap, coupling", [
+    (Fraction(1, 10 ** 6), 1), (Fraction(1, 10 ** 5), 1),
+    (Fraction(1, 10 ** 4), 1), (Fraction(1, 10 ** 5), 100)])
+def test_simple_peak_near_a_coupled_eigenvalue_is_not_split(gap, coupling):
+    exact = [[1, coupling], [0, 1 - gap]]
+    for m in (exact, np.array(exact, dtype=float)):
+        a = from_matrix(m, Orthant(2))
+        for report in (classify(a), classify(adjoint(a))):
+            assert report.multiplicity_r == (1, 1)
+            assert report.ergodic and report.mixing
+            assert not [f for f in report.hypothesis_flags
+                        if f.startswith(("route-disagreement", "lattice"))]
+
+
 # ---------------------------------------------------------------------------
 # classify decides each fact once
 # ---------------------------------------------------------------------------
@@ -622,14 +640,15 @@ def test_split_jordan_block_multiplicities():
 def test_classify_builds_each_fact_once(monkeypatch, make):
     cl = importlib.import_module("conemix.classify")
     calls = []
-    for name in ("_stationary", "ergodic_routes", "mixing_routes"):
+    for name in ("_stationary", "ergodic_routes", "mixing_routes",
+                 "is_positive"):
         fn = getattr(cl, name)
         monkeypatch.setattr(cl, name, lambda *args, _fn=fn, _name=name:
                             calls.append(_name) or _fn(*args))
     report = classify(make())
     assert report.ergodic and report.primitive
     assert sorted(calls) == ["_stationary", "ergodic_routes",
-                             "mixing_routes"]
+                             "is_positive", "mixing_routes"]
 
 
 # float maps near the clustering cutoff: eigenvalues 1 and 1 - 2e, so the
