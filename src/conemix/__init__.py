@@ -29,12 +29,9 @@ from .classify import (
     is_mixing,
     is_primitive,
     period,
-    power_interior_probe,
     stationary_pair,
     strongly_connected,
     strongly_connected_components,
-    tensor_product_digraph,
-    tensor_scc_count,
 )
 from .dynamics import (
     BipartiteLayout,

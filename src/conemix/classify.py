@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cones import Orthant, Psd, UnsupportedConeOperation, is_classical
+from .cones import UnsupportedConeOperation, is_classical
 from .linalg import (
     FLOAT_MODE,
     MultiplicityPair,
@@ -55,8 +55,6 @@ __all__ = [
     "digraph_of",
     "strongly_connected",
     "strongly_connected_components",
-    "tensor_product_digraph",
-    "tensor_scc_count",
     "period",
     "stationary_pair",
     "is_ergodic",
@@ -67,7 +65,6 @@ __all__ = [
     "mixing_routes",
     "irreducible_routes",
     "primitive_routes",
-    "power_interior_probe",
     "classify",
 ]
 
@@ -107,7 +104,7 @@ def _pattern(a: DynMap, mode: ScalarMode) -> np.ndarray:
     """0/1 int64 matrix of the positive entries of a map: exact entries
     above 0, float ones above ``eps_interior`` times the largest modulus."""
     m = _own_matrix(a)
-    cutoff = 0 if a.exact is not None else \
+    cutoff = 0 if a.integer is not None else \
         mode.eps_interior * max(1.0, float(np.max(np.abs(m))))
     return (m > cutoff).astype(np.int64)
 
@@ -211,55 +208,37 @@ def _wielandt_primitive(pattern: np.ndarray) -> bool:
     return bool(power.all())
 
 
-def tensor_product_digraph(g: Digraph, h: Digraph) -> Digraph:
-    """Edge (u1,u2) -> (v1,v2) iff u1 -> v1 and u2 -> v2."""
-    succ = []
-    for u1 in range(g.n):
-        for u2 in range(h.n):
-            succ.append(tuple(v1 * h.n + v2
-                              for v1 in g.succ[u1] for v2 in h.succ[u2]))
-    return Digraph(g.n * h.n, tuple(succ))
-
-
-def tensor_scc_count(g: Digraph) -> int:
-    """Number of strongly connected components of g (x) g.
-
-    For a strongly connected g every vertex of the product lies on a cycle,
-    and the count equals the period of g.
-    """
-    if not strongly_connected(g):
-        raise NotStronglyConnectedError(
-            "tensor SCC count requires strong connectivity")
-    return len(strongly_connected_components(tensor_product_digraph(g, g)))
-
-
 # ---------------------------------------------------------------------------
 # stationary pair
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class _Stationary:
-    """The stationary pair in the map's own arithmetic: object arrays of
-    Fractions when the radius is an exact eigenvalue, floats otherwise."""
+    """The stationary pair: ``x`` and ``y`` in the map's own arithmetic for
+    the cone queries (at a verified rational radius, integer object arrays,
+    positive multiples of the pair; floats otherwise), and the pair as
+    floats, ``x0`` l1-normalized and ``<y0, x0> = 1``."""
 
     x: np.ndarray
     y: np.ndarray
+    x0: np.ndarray
+    y0: np.ndarray
     exact: bool
 
-    @property
-    def x0(self) -> np.ndarray:
-        return self.x.astype(float)
 
-    @property
-    def y0(self) -> np.ndarray:
-        return self.y.astype(float)
+def _l1_floats(v: np.ndarray, exact: bool) -> np.ndarray:
+    """v as floats, l1-normalized when it is an integer direction (a float
+    Perron vector is normalized already).  Python's int division rounds
+    correctly, like ``float`` of a Fraction."""
+    return (v / np.sum(np.abs(v)) if exact else v).astype(float)
 
 
 def _stationary(a: DynMap, mode: ScalarMode) -> _Stationary:
-    """l1-normalized Perron vectors of the map and its adjoint (exact at a
-    verified rational radius), each turned so its largest-modulus entry is
-    positive, then signed into the cone (x0) or the dual cone (y0); y0 is
-    scaled to ``<y0, x0> = 1``.  A float pairing up to 1e-9 counts as 0."""
+    """Perron vectors of the map and its adjoint (exact primitive integer
+    vectors at a verified rational radius, else l1-normalized floats),
+    each turned so its largest-modulus entry is positive, then signed into
+    the cone (x0) or the dual cone (y0); x0 is l1-normalized and y0 scaled
+    to ``<y0, x0> = 1``.  A float pairing up to 1e-9 counts as 0."""
     spec = a.spectrum
     spec.positive_r()
     exact = spec.r_exact is not None
@@ -271,8 +250,7 @@ def _stationary(a: DynMap, mode: ScalarMode) -> _Stationary:
                 raise NotErgodicError(
                     f"{what} {spec.r_exact} has geometric multiplicity "
                     f"{len(basis)}", geometric=len(basis))
-            v = np.array(basis[0], dtype=object)
-            vecs.append(v / np.sum(np.abs(v)))
+            vecs.append(np.array(basis[0], dtype=object))
     else:
         geom = spec.peak_pair(mode).geometric
         if geom != 1:  # 0 exactly when r is not an eigenvalue at all
@@ -291,19 +269,24 @@ def _stationary(a: DynMap, mode: ScalarMode) -> _Stationary:
                     # report the primal vector whichever one failed
                     raise NotErgodicError(
                         "no sign of the Perron eigenvector lies in the cone",
-                        x0=(pair[0] if pair else v).astype(float))
+                        x0=_l1_floats(pair[0] if pair else v, exact))
                 v = -v
         except UnsupportedConeOperation:
             pass
         pair.append(v)
-    x0, y0 = pair
-    pairing = y0 @ x0
+    x, y = pair
+    pairing = y @ x
     if abs(pairing) <= (0 if exact else 1e-9):
         raise NotErgodicError(
             "stationary and dual stationary vectors are orthogonal",
-            x0=x0.astype(float), y0=y0.astype(float),
+            x0=_l1_floats(x, exact), y0=_l1_floats(y, exact),
             pairing=float(pairing), geometric=1)
-    return _Stationary(x0, y0 / pairing, exact)
+    if not exact:
+        return _Stationary(x, y / pairing, x, y / pairing, False)
+    # y0 = y sum|x| / <y, x>, a negative multiple of y when <y, x> < 0
+    norm = np.sum(np.abs(x))
+    return _Stationary(x, y if pairing > 0 else -y, _l1_floats(x, True),
+                       (y * norm / pairing).astype(float), True)
 
 
 def stationary_pair(a: DynMap, mode: ScalarMode = FLOAT_MODE):
@@ -408,7 +391,7 @@ def _interior_pair_route(a: DynMap, base: bool, pair,
     ``pair`` what ``_stationary_or_error`` returned; skipped when the cone
     cannot decide interior membership of the pair."""
     if not base or isinstance(pair, NotErgodicError):
-        return Route(False, a.exact is not None)
+        return Route(False, a.integer is not None)
     cone = a.cone
     try:
         return _margin_probe(
@@ -502,7 +485,7 @@ def _irreducible_routes(a: DynMap, mode: ScalarMode, ergodic: bool, pair,
     routes.update(faces.get("irreducible", {}))
     if is_classical(a.cone):
         routes["digraph"] = Route(
-            strongly_connected(digraph_of(a, mode)), a.exact is not None)
+            strongly_connected(digraph_of(a, mode)), a.integer is not None)
     return routes
 
 
@@ -514,7 +497,7 @@ def _primitive_routes(a: DynMap, mode: ScalarMode, mixing: bool, pair,
     routes.update(faces.get("primitive", {}))
     if is_classical(a.cone):
         g = digraph_of(a, mode)
-        exact = a.exact is not None
+        exact = a.integer is not None
         routes["kron-digraph"] = Route(
             _wielandt_primitive(_pattern(a, mode)), exact)
         try:
@@ -603,63 +586,6 @@ def is_primitive(a: DynMap, mode: ScalarMode = FLOAT_MODE) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# power-interior probe (diagnostic)
-# ---------------------------------------------------------------------------
-
-#: random pure states the probe iterates on the PSD cone, and their seed
-_PROBE_SAMPLES = 32
-_PROBE_SEED = 5
-
-
-def power_interior_probe(a: DynMap, mode: ScalarMode = FLOAT_MODE):
-    """Iterate the map on boundary states until the image is interior.
-
-    Returns (reached, n).  ``reached`` is False when a probe state is still
-    on the boundary at the iteration cap, which for classical maps
-    certifies non-primitivity (the cap is the classical power-positivity
-    bound (d-1)^2 + 1; for a channel with N linearly independent Kraus
-    operators it is h^2 (h^2 - N + 1)).
-    """
-    cone = a.cone
-    if isinstance(cone, Orthant):
-        d = a.dim
-        cap = (d - 1) ** 2 + 1
-        pattern = _pattern(a, mode)
-        power = np.eye(d, dtype=np.int64)
-        for n in range(1, cap + 1):
-            power = np.minimum(pattern @ power, 1)
-            if power.all():
-                return True, n
-        return False, None
-    if isinstance(cone, Psd):
-        h = cone.h
-        n_kraus = a.kraus_rank if a.kraus_rank is not None else 1
-        cap = (h * h) * (h * h - n_kraus + 1)
-        rng = np.random.default_rng(_PROBE_SEED)
-        basis = cone.basis
-        worst = 0
-        for _ in range(_PROBE_SAMPLES):
-            psi = rng.standard_normal(h) + 1j * rng.standard_normal(h)
-            psi /= np.linalg.norm(psi)
-            x = basis.vec(np.outer(psi, psi.conj()))
-            reached = None
-            for n in range(1, cap + 1):
-                x = a.matrix @ x
-                nrm = float(np.linalg.norm(x))
-                if nrm == 0.0:
-                    break
-                x /= nrm
-                if cone.interior_contains(x, mode):
-                    reached = n
-                    break
-            if reached is None:
-                return False, None
-            worst = max(worst, reached)
-        return True, worst
-    raise UnsupportedConeOperation(f"no power-interior probe for {cone!r}")
-
-
-# ---------------------------------------------------------------------------
 # the full report
 # ---------------------------------------------------------------------------
 
@@ -718,16 +644,20 @@ def classify(a: DynMap, mode: ScalarMode = FLOAT_MODE) -> ClassificationReport:
             multiplicity_r=MultiplicityPair(0, 0),
             multiplicity_r2_kron=MultiplicityPair(0, 0),
             hypothesis_flags=flags)
-    if a.exact is not None:
+    if a.integer is not None:
         flags.append("spectral-radius-computed-in-float")
-
-    if spec.r_exact is not None:
-        mult_r, mult_r2 = chain_pair(spec.chain_r), spec.kron_r2_pair
-    else:
-        mult_r, mult_r2 = spec.peak_pair(mode), spec.kron_peak_pair(mode)
 
     moduli = np.sort(np.abs(spec.eigenvalues))[::-1]
     gap_ratio = float(moduli[1] / r) if moduli.size > 1 else None
+    if spec.r_exact is not None:
+        # the verified radius, and its exact multiplicity over the float
+        # moduli, which rounding can split
+        mult_r, mult_r2 = chain_pair(spec.chain_r), spec.kron_r2_pair
+        r = float(spec.r_exact)
+        if mult_r.algebraic >= 2:
+            gap_ratio = 1.0
+    else:
+        mult_r, mult_r2 = spec.peak_pair(mode), spec.kron_peak_pair(mode)
 
     ergodic_family = ergodic_routes(a, mode)
     mixing_family = mixing_routes(a, mode)

@@ -315,7 +315,7 @@ def load_problem(path, forced_mode=None):
 
 def _scalar_to_json(v):
     if isinstance(v, Fraction):
-        return int(v) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+        return int(v) if v == int(v) else str(v)
     return float(v)
 
 

@@ -38,8 +38,10 @@ and the face map of M.
 
 Query vectors that :func:`~conemix.linalg.as_exact` finds exact (ints,
 Fractions and rational strings; object arrays of them) are compared
-exactly where the cone has exact data; any other vector, a float array
-say, is compared within a tolerance scaled by its norm.
+exactly where the cone has exact data, as the integer multiples that
+:func:`~conemix.linalg.integer_vector` gives (the library's own object
+arrays of Python ints as they are); any other vector, a float array say,
+is compared within a tolerance scaled by its norm.
 """
 
 from __future__ import annotations
@@ -53,11 +55,11 @@ import numpy as np
 from .linalg import (
     FLOAT_MODE,
     ScalarMode,
-    _integer_multiple,
-    _integer_rows,
-    as_exact,
+    _primitive,
     exact_kernel_basis,
     exact_rank,
+    integer_form,
+    integer_vector,
 )
 
 __all__ = [
@@ -86,13 +88,6 @@ class DimensionMismatchError(ValueError):
 
 class InvalidUnitError(ValueError):
     """The proposed unit element is not interior to the dual cone."""
-
-
-def _primitive(vec):
-    """Scale a rational vector to a primitive integer vector (same sign)."""
-    ints = _integer_rows([vec])[0]
-    g = math.gcd(*ints)
-    return [v // g for v in ints] if g > 1 else ints
 
 
 class Cone:
@@ -217,7 +212,7 @@ class Orthant(Cone):
 
     def contains(self, x, mode=FLOAT_MODE):
         self._check_dim(x)
-        exact = as_exact(x)
+        exact = integer_vector(x)
         if exact is not None:
             return all(v >= 0 for v in exact)
         xf = np.asarray(x, dtype=float)
@@ -225,7 +220,7 @@ class Orthant(Cone):
 
     def interior_contains(self, x, mode=FLOAT_MODE):
         self._check_dim(x)
-        exact = as_exact(x)
+        exact = integer_vector(x)
         if exact is not None:
             return all(v > 0 for v in exact)
         xf = np.asarray(x, dtype=float)
@@ -364,7 +359,9 @@ class Polyhedral(Cone):
     MAX_SUBSETS = 500_000
 
     def __init__(self, generators):
-        gens = [self._exact_gen(g) for g in generators]
+        # Fraction(float) is exact, so float input keeps a consistent (if
+        # ugly) rational meaning
+        gens = [[Fraction(v) for v in g] for g in generators]
         if not gens:
             raise ValueError("at least one generator is required")
         d = len(gens[0])
@@ -374,7 +371,7 @@ class Polyhedral(Cone):
             raise ValueError("all generators are zero")
         gens = [g for g in gens if any(v != 0 for v in g)]
         self.dim = d
-        ints = [_primitive(g) for g in gens]
+        ints = [_primitive(integer_form(g).N) for g in gens]
         if exact_rank(ints) != d:
             raise ValueError("generators do not span the ambient space; "
                              "the cone would have empty interior")
@@ -396,7 +393,7 @@ class Polyhedral(Cone):
         cone.dim = len(extremal[0])
         cone._gens = extremal
         if ints is None:
-            ints = [_primitive(g) for g in extremal]
+            ints = [_primitive(integer_form(g).N) for g in extremal]
         ints = np.array(ints, dtype=object)
         dual_rays = np.array(dual_rays, dtype=object)
         if incidence is None:
@@ -418,15 +415,6 @@ class Polyhedral(Cone):
         self._dual_f = _unit_rows(dual_rays.astype(float))
         self._incidence = incidence
 
-    @staticmethod
-    def _exact_gen(g):
-        out = []
-        for v in g:
-            # Fraction(float) is exact, so float input keeps a consistent
-            # (if ugly) rational meaning.
-            out.append(Fraction(v))
-        return out
-
     @classmethod
     def _enumerate_dual_rays(cls, ints, d):
         """Primitive integer dual rays of the cone of the integer rows
@@ -443,13 +431,11 @@ class Polyhedral(Cone):
         subsets = combinations(range(m), d - 1) if d >= 2 else [()]
         for subset in subsets:
             rows = [ints[i] for i in subset]
-            if rows:
-                null = exact_kernel_basis(rows)
-            else:
-                null = [[Fraction(i == j) for j in range(d)] for i in range(d)]
+            null = exact_kernel_basis(rows) if rows else \
+                [[int(i == j) for j in range(d)] for i in range(d)]
             if len(null) != 1:
                 continue
-            prim = np.array(_primitive(null[0]), dtype=object)
+            prim = np.array(null[0], dtype=object)
             for cand in (prim, -prim):
                 if np.all(gens @ cand >= 0):
                     key = tuple(cand)
@@ -482,10 +468,10 @@ class Polyhedral(Cone):
 
     def _dots(self, rows_int, rows_float, x, mode, strict):
         self._check_dim(x)
-        exact = as_exact(x)
+        exact = integer_vector(x)
         if exact is not None:
             # a positive integer multiple of x has the same signs
-            dots = rows_int @ _integer_multiple([exact])[0]
+            dots = rows_int @ exact
             return bool(np.all(dots > 0) if strict else np.all(dots >= 0))
         xf = np.asarray(x, dtype=float)
         margin = mode.eps_interior * np.linalg.norm(xf)
@@ -588,7 +574,7 @@ class TensorCone(Cone):
             duals = product(left.exact_dual_generators(),
                             right.exact_dual_generators())
             self._inner = Polyhedral._from_rays(
-                rays, [[a.numerator * b.numerator for a in y for b in z]
+                rays, [[int(a) * int(b) for a in y for b in z]
                        for y, z in duals])
         else:
             self._inner = Polyhedral(rays)

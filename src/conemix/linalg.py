@@ -1,14 +1,21 @@
 """Dense matrix kernel: one exact-rational path and one float spectrum.
 
-Exact matrices are stored as lists of rows of ``fractions.Fraction``, and
-:func:`as_exact` is the one test that admits a value from outside the
-program to them.  One fraction-free Gauss-Jordan elimination (``_echelon``)
-over cleared-denominator integers gives ranks, kernel bases and, through
-kernel chains, multiplicities; every exact product is numpy's operator on
-an object array of Fractions.  The exact d^2 x d^2 Kronecker square is first
-eliminated modulo a prime, in int64: a kernel no larger than a known lower
-bound certifies its exact multiplicities, and ``_echelon`` runs on it only
-when that certificate fails.
+An exact matrix is one integer matrix and one denominator,
+:class:`IntegerMatrix` ``(N, D)`` with ``A = N / D``.  :func:`as_exact`
+is the one test that admits a value from outside the program as exact
+(it returns Fractions), and :func:`integer_form` the one place where
+denominators are cleared; this module alone knows how rationals become
+integers.  Inside the library exact data stays integer.  The exact
+spectral facts are decided on ``B = N / g``, g the gcd of N's entries,
+whose rational eigenvalues are integers: a shift by ``r = k g / D`` is
+``B - k I``, the primitive form of ``q N - p D I`` for ``r = p/q``.  One
+fraction-free Gauss-Jordan elimination (``_echelon``) gives ranks,
+primitive integer kernel bases and, through kernel chains,
+multiplicities, and every exact product is numpy's operator on an object
+array of Python ints.  The exact d^2 x d^2 Kronecker square
+is first eliminated modulo a prime, in int64: a kernel no larger than a
+known lower bound certifies its exact multiplicities, and ``_echelon``
+runs on it only when that certificate fails.
 :class:`Spectrum` owns every spectral fact of one map, float (eigenvalues,
 singular values, peak counts) and exact (the kernel chain at the radius,
 the certified pair at r^2 on the square), and decides when the radius
@@ -21,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -31,9 +39,6 @@ import numpy as np
 RATIONAL = "rational"
 FLOAT = "float"
 
-#: Matrix in the exact path: list of rows, entries ``fractions.Fraction``.
-ExactMatrix = list
-
 __all__ = [
     "RATIONAL",
     "FLOAT",
@@ -43,6 +48,9 @@ __all__ = [
     "MultiplicityPair",
     "ZeroSpectralRadiusError",
     "as_exact",
+    "IntegerMatrix",
+    "integer_form",
+    "integer_vector",
     "exact_rank",
     "chain_pair",
     "Spectrum",
@@ -165,35 +173,52 @@ def as_exact(x) -> list | None:
     return rows
 
 
-def exact_shift(m: ExactMatrix, lam: Fraction) -> ExactMatrix:
-    """m - lam * I."""
-    return [[x - lam if i == j else x for j, x in enumerate(row)]
-            for i, row in enumerate(m)]
+class IntegerMatrix(NamedTuple):
+    """An exact matrix or vector as ``N / D``: ``N`` an object array of
+    Python ints, ``D`` a positive int."""
+
+    N: np.ndarray
+    D: int
 
 
-def _integer_rows(m: ExactMatrix) -> list:
-    """Clear denominators row by row (keeps the row space and the kernel).
-    Entries are Fractions or ints; only ints are multiplied."""
-    out = []
-    for row in m:
-        lcm = 1
-        for x in row:
-            lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-        out.append([x.numerator * (lcm // x.denominator) for x in row])
-    return out
+def integer_form(x) -> IntegerMatrix:
+    """``(N, D)`` with ``x = N / D`` for an exact vector or matrix x of
+    Fractions or ints (as :func:`as_exact` returns them), D the least common
+    denominator: the one place where denominators are cleared."""
+    arr = np.array(x, dtype=object)
+    d = math.lcm(*(v.denominator for v in arr.flat))
+    n = [v.numerator * (d // v.denominator) for v in arr.flat]
+    return IntegerMatrix(np.array(n, dtype=object).reshape(arr.shape), d)
 
 
-def _integer_multiple(m: ExactMatrix) -> np.ndarray:
-    """``D * m`` as an object array of ints, for D the lcm of all of m's
-    denominators.  One common factor keeps m's action up to a positive
-    scalar, where ``_integer_rows`` keeps only the row space."""
-    lcm = math.lcm(*(x.denominator for row in m for x in row))
-    return np.array([[x.numerator * (lcm // x.denominator) for x in row]
-                     for row in m], dtype=object)
+def integer_vector(x) -> np.ndarray | None:
+    """A positive integer multiple of an exact vector, as an object array of
+    Python ints, or None when x is not exact (see :func:`as_exact`).  An
+    object array of Python ints, the library's own form, is taken as it
+    is."""
+    if isinstance(x, np.ndarray) and x.dtype == object \
+            and all(type(v) is int for v in x):
+        return x
+    exact = as_exact(x)
+    return None if exact is None else integer_form(exact).N
 
 
-def _echelon(m: ExactMatrix):
-    """Fraction-free Gauss-Jordan form of m over cleared-denominator integers.
+def _primitive(v) -> list:
+    """A nonzero integer vector divided by the gcd of its entries."""
+    g = math.gcd(*v)
+    return [x // g for x in v] if g > 1 else list(v)
+
+
+def _shift(m, k: int) -> np.ndarray:
+    """``m - k I`` for an integer matrix m and an int k, as a new object
+    array of ints."""
+    s = np.array(m, dtype=object)
+    s[np.diag_indices_from(s)] -= k
+    return s
+
+
+def _echelon(m):
+    """Fraction-free Gauss-Jordan form of an integer matrix.
 
     Returns ``(rows, pivots, p)``: the integer rows, the pivot column of each
     leading row, and the value every pivot entry ends with.  A step with
@@ -201,9 +226,10 @@ def _echelon(m: ExactMatrix):
     ``(p * row - row[c] * pivot_row) // prev``, rows above the pivot
     included (Bareiss 1968, carried to Gauss-Jordan form as in Nakos,
     Turner & Williams 1997).  Every entry stays a minor of the input, so
-    the divisions are exact and no Fraction is ever formed.
+    the divisions are exact.  The entries must be ints (a Fraction raises
+    TypeError: floor division would be silently wrong on one).
     """
-    a = _integer_rows(m)
+    a = [list(map(operator.index, row)) for row in m]
     n_rows = len(a)
     pivots = []
     prev = 1
@@ -226,31 +252,36 @@ def _echelon(m: ExactMatrix):
     return a, pivots, prev
 
 
-def exact_rank(m: ExactMatrix) -> int:
-    """Rank: the pivot count of the fraction-free elimination."""
+def exact_rank(m) -> int:
+    """Rank of an integer matrix: the pivot count of the fraction-free
+    elimination."""
     return len(_echelon(m)[1])
 
 
-def exact_kernel_basis(m: ExactMatrix) -> list:
-    """Basis of the null space, as lists of Fractions.
+def exact_kernel_basis(m) -> list:
+    """Basis of the null space of an integer matrix, as primitive integer
+    lists.
 
-    One vector per free column, equal to 1 there and 0 on the other free
-    columns (the reduced row-echelon basis).
+    One vector per free column: a positive multiple of the reduced
+    row-echelon basis vector, which is 1 there and 0 on the other free
+    columns.
     """
     rows, pivots, p = _echelon(m)
-    n_cols = len(m[0]) if m else 0
+    sign = 1 if p > 0 else -1
+    n_cols = len(m[0]) if len(m) else 0
     basis = []
     for fc in sorted(set(range(n_cols)) - set(pivots)):
-        v = [Fraction(0)] * n_cols
-        v[fc] = Fraction(1)
+        v = [0] * n_cols
+        v[fc] = abs(p)
         for row, pc in zip(rows, pivots):
-            v[pc] = Fraction(-row[fc], p)
-        basis.append(v)
+            v[pc] = -sign * row[fc]
+        basis.append(_primitive(v))
     return basis
 
 
-def _kernel_chain(m: ExactMatrix, lam) -> list:
-    """Kernel bases of ``S^k``, ``S = m - lam I``, for k = 1, 2, ...
+def _kernel_chain(m, lam: int) -> list:
+    """Kernel bases of ``S^k``, ``S = m - lam I``, for an integer matrix m,
+    an int lam and k = 1, 2, ...
 
     ``x`` lies in ``ker S^(k+1)`` exactly when ``S x = K_k y`` for a basis
     matrix ``K_k`` of ``ker S^k``, so each step is one elimination of
@@ -259,16 +290,16 @@ def _kernel_chain(m: ExactMatrix, lam) -> list:
     eigenvalue.  Geometric multiplicity is the first dimension, algebraic
     the last, and the largest Jordan block the length.
     """
-    n = len(m)
-    shifted = exact_shift(m, Fraction(lam))
+    size = len(m)
+    shifted = _shift(m, lam).tolist()
     chain = []
     basis = exact_kernel_basis(shifted)
     while basis and (not chain or len(basis) > len(chain[-1])):
         chain.append(basis)
-        if len(basis) == n:
+        if len(basis) == size:
             break
         aug = [row + [-v[i] for v in basis] for i, row in enumerate(shifted)]
-        basis = [v[:n] for v in exact_kernel_basis(aug)]
+        basis = [v[:size] for v in exact_kernel_basis(aug)]
     return chain
 
 
@@ -305,21 +336,15 @@ def _rank_mod(a: np.ndarray, p: int) -> int:
     return rank
 
 
-def _kron_kernel_dim_mod(m: ExactMatrix, lam: Fraction) -> int | None:
-    """``dim ker(m (x) m - lam^2 I)`` over GF(p) for ``p = _PRIME``, at
-    least its dimension over the rationals; None when p divides a
-    denominator.  One modular inverse per distinct denominator."""
+def _kron_kernel_dim_mod(m: np.ndarray, lam: int) -> int:
+    """``dim ker(m (x) m - lam^2 I)`` over GF(p), ``p = _PRIME``, for an
+    integer matrix m and an int lam: at least its dimension over the
+    rationals, since a minor that vanishes over the integers vanishes
+    modulo p."""
     p = _PRIME
-    denominators = {x.denominator for row in m for x in row}
-    denominators.add(lam.denominator)
-    if any(q % p == 0 for q in denominators):
-        return None
-    inverse = {q: pow(q, -1, p) for q in denominators}
-    m_p = np.array([[x.numerator * inverse[x.denominator] % p for x in row]
-                    for row in m], dtype=np.int64)
-    lam_p = lam.numerator * inverse[lam.denominator] % p
+    m_p = (m % p).astype(np.int64)
     s = np.kron(m_p, m_p) % p
-    s[np.diag_indices_from(s)] += p - lam_p * lam_p % p
+    s[np.diag_indices_from(s)] += p - lam * lam % p
     s %= p
     return len(s) - _rank_mod(s, p)
 
@@ -335,13 +360,20 @@ def chain_pair(chain: list) -> "MultiplicityPair":
 # the spectrum of one map
 # ---------------------------------------------------------------------------
 
-def _snap(x: float) -> Fraction | None:
-    """The rational with denominator at most 10^6 nearest x, if it is
-    positive and within ``1e-7 max(1, x)`` of x; else None."""
-    cand = Fraction(x).limit_denominator(10 ** 6)
-    if cand <= 0 or abs(float(cand) - x) > 1e-7 * max(1.0, x):
+def _snap(x: float, g: int, d: int) -> int | None:
+    """The integer k nearest ``x d/g``, for x an eigenvalue of
+    ``A = (g/d) B`` with B an integer matrix, if k is positive and within
+    ``1e-7 x d/g`` of it; else None.  A rational eigenvalue of B is an
+    integer, since its characteristic polynomial is monic, so ``k g/d`` is
+    the one rational candidate near x.  Exact integer arithmetic."""
+    if x <= 0:
         return None
-    return cand
+    a, b = x.as_integer_ratio()
+    num, den = a * d, b * g  # x d/g
+    k = (2 * num + den) // (2 * den)
+    if k <= 0 or abs(k * den - num) * 10 ** 7 > num:
+        return None
+    return k
 
 
 def _float_pair(algebraic: int, sv: np.ndarray, scale: float,
@@ -386,15 +418,18 @@ class Spectrum:
     powers of ``A/r - lam I`` at those clusters are cached per cluster, and
     only clusters of two or more eigenvalues need them.  A Jordan block at
     r that rounding split past ``eps_cluster`` counts as one eigenvalue of
-    its cluster's size (``_split_peak``).  ``chain_r`` is an exact kernel
-    chain (see ``_kernel_chain``), empty without a verified rational
-    radius; ``kron_r2_pair`` is certified modulo a prime, with the exact
-    kernel chain of the square as the fallback.
+    its cluster's size (``_split_peak``).  The exact facts read
+    ``integer``, the map as ``N / D`` (None for a float map), through
+    ``_primitive_form``: ``chain_r`` is an exact kernel chain (see
+    ``_kernel_chain``), empty without a verified rational radius;
+    ``kron_r2_pair`` is certified modulo a prime, with the exact kernel
+    chain of the square as the fallback.
     """
 
-    def __init__(self, matrix: np.ndarray, exact: ExactMatrix | None = None):
+    def __init__(self, matrix: np.ndarray,
+                 integer: IntegerMatrix | None = None):
         self.matrix = matrix
-        self.exact = exact
+        self.integer = integer
         self._cluster_sv = {}
         self._split_peaks = {}
 
@@ -418,7 +453,7 @@ class Spectrum:
         scale = max(1.0, self.norm2)
         if self.r <= 1e-3 * scale and self.nilpotent:
             raise ZeroSpectralRadiusError("the map is nilpotent")
-        if self.exact is None and self.r <= RADIUS_FLOOR * scale:
+        if self.integer is None and self.r <= RADIUS_FLOOR * scale:
             raise ZeroSpectralRadiusError(
                 f"spectral radius {self.r} is numerically zero")
         return self.r
@@ -608,26 +643,40 @@ class Spectrum:
         return tuple(out)
 
     @cached_property
+    def _primitive_form(self) -> tuple:
+        """``(B, g)`` with ``A = (g/D) B``: B is ``N/g`` for g the gcd of
+        N's entries, the one integer matrix of content 1 that every
+        positive rational multiple of A shares.  The exact facts are
+        decided on B, so neither the scale of A nor a denominator that the
+        certificate's prime divides reaches them."""
+        n, _ = self.integer
+        g = math.gcd(*n.flat) or 1
+        return n // g, g
+
+    @cached_property
     def _r_chain(self) -> tuple:
-        """``(r, chain)``: r as a small-denominator rational verified to be
-        an exact eigenvalue, with its kernel chain; ``(None, [])`` when no
-        snap verifies.  The snap of the float r comes first.  When it
-        verifies nothing and two or more eigenvalues lie within
-        ``SPLIT_WINDOW r`` of r (a Jordan block that rounding split past
-        the snap window), the snap of their mean is taken if its algebraic
-        multiplicity equals the cluster's size."""
-        if self.exact is None:
+        """``(k, chain)``: the radius of B (``_primitive_form``) as an int k
+        verified to be an exact eigenvalue, with the kernel chain of
+        ``B - k I``; ``(None, [])`` when no snap (``_snap``) verifies.  The
+        snap of the float r comes first.  When it verifies nothing and two
+        or more eigenvalues lie within ``SPLIT_WINDOW r`` of r (a Jordan
+        block that rounding split past the snap window), the snap of their
+        mean is taken if its algebraic multiplicity equals the cluster's
+        size."""
+        if self.integer is None:
             return None, []
-        cand = _snap(self.r)
-        chain = [] if cand is None else _kernel_chain(self.exact, cand)
+        b, g = self._primitive_form
+        d = self.integer.D
+        cand = _snap(self.r, g, d)
+        chain = [] if cand is None else _kernel_chain(b, cand)
         if chain:
             return cand, chain
         cluster = self.eigenvalues[
             np.abs(self.eigenvalues - self.r) <= SPLIT_WINDOW * self.r]
-        mean = _snap(float(np.mean(cluster).real)) \
+        mean = _snap(float(np.mean(cluster).real), g, d) \
             if len(cluster) >= 2 else None
         if mean is not None and mean != cand:
-            chain = _kernel_chain(self.exact, mean)
+            chain = _kernel_chain(b, mean)
             if chain_pair(chain).algebraic == len(cluster):
                 return mean, chain
         return None, []
@@ -637,10 +686,12 @@ class Spectrum:
         """Kernel chain at the verified rational radius, else empty."""
         return self._r_chain[1]
 
-    @property
+    @cached_property
     def r_exact(self) -> Fraction | None:
         """r as a rational verified to be an exact eigenvalue, else None."""
-        return self._r_chain[0]
+        k = self._r_chain[0]
+        return None if k is None else \
+            Fraction(k * self._primitive_form[1], self.integer.D)
 
     @cached_property
     def kron_r2_pair(self) -> MultiplicityPair:
@@ -655,35 +706,34 @@ class Spectrum:
         +-r has size 1; any other pair adds one more.  So the geometric
         count is at least L, and when it equals L the algebraic count
         ``a(r)^2 + a(-r)^2`` does too.  Reduction modulo a prime only
-        lowers ranks, so a kernel of dimension L for
-        ``A (x) A - r^2 I`` over GF(p) proves the pair (L, L).  Otherwise
-        (a larger modular kernel, p dividing a denominator) the exact
-        kernel chain of the square decides.
+        lowers ranks, so a kernel of dimension L of ``B (x) B - k^2 I`` over
+        GF(p) (``_kron_kernel_dim_mod``) proves the pair (L, L).  Otherwise
+        the exact kernel chain of the square decides.
         """
-        r = self.r_exact
-        if r is None:
+        k = self._r_chain[0]
+        if k is None:
             return MultiplicityPair(0, 0)
-        g_neg = len(self.exact) - exact_rank(exact_shift(self.exact, -r))
+        b = self._primitive_form[0]
+        g_neg = len(b) - exact_rank(_shift(b, -k))
         bound = len(self.chain_r[0]) ** 2 + g_neg ** 2
-        if _kron_kernel_dim_mod(self.exact, r) == bound:
+        if _kron_kernel_dim_mod(b, k) == bound:
             return MultiplicityPair(bound, bound)
-        exact = np.array(self.exact, dtype=object)
-        return chain_pair(_kernel_chain(np.kron(exact, exact), r * r))
+        return chain_pair(_kernel_chain(np.kron(b, b), k * k))
 
     @cached_property
     def left_kernel_r(self) -> list:
         """Exact kernel basis of ``A^T - r I`` (needs a rational r)."""
-        transposed = [list(col) for col in zip(*self.exact)]
-        return exact_kernel_basis(exact_shift(transposed, self.r_exact))
+        return exact_kernel_basis(_shift(self._primitive_form[0].T,
+                                         self._r_chain[0]))
 
     @cached_property
     def nilpotent(self) -> bool:
         """Is A^d = 0 in the map's own arithmetic?  An exact matrix is
-        cleared to integers by one common factor.  The float matrix is
-        first scaled by a power of two to unit row-sum norm: that adds no
-        rounding, keeps every power's entries at most 1, and keeps a small
-        map's powers from underflowing to a false zero."""
+        decided on its integer matrix N.  The float matrix is first scaled
+        by a power of two to unit row-sum norm: that adds no rounding, keeps
+        every power's entries at most 1, and keeps a small map's powers from
+        underflowing to a false zero."""
         top = float(np.max(np.sum(np.abs(self.matrix), axis=1), initial=0.0))
-        m = np.ldexp(self.matrix, -math.frexp(top)[1]) if self.exact is None \
-            else _integer_multiple(self.exact)
+        m = np.ldexp(self.matrix, -math.frexp(top)[1]) \
+            if self.integer is None else self.integer.N
         return not np.any(np.linalg.matrix_power(m, len(m)))

@@ -3,9 +3,11 @@
 A :class:`DynMap` couples a real square matrix with the cone it is supposed
 to preserve and a unit element interior to the dual cone.  When
 :func:`~conemix.linalg.as_exact` finds the input matrix exact (every entry
-an int, a Fraction or a rational string; a float array never is), the
-Fraction matrix is kept alongside the float one, and the classification
-routines use it for kernel/rank questions; likewise for the unit.
+an int, a Fraction or a rational string; a float array never is), the map
+also holds it as one integer matrix and one denominator
+(:class:`~conemix.linalg.IntegerMatrix`), which the exact routes read;
+``DynMap.exact`` derives its Fraction rows for readers outside the
+library.  The unit is kept as Fractions when it is exact.
 :func:`from_stochastic` is :func:`from_matrix` on the orthant with the
 all-ones unit, plus its two checks.  Quantum channels built from Kraus
 operators act on PSD-cone coordinates; their superoperator entries are
@@ -14,7 +16,6 @@ floats, so no exact matrix is attached.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -34,10 +35,11 @@ from .cones import (
 )
 from .linalg import (
     FLOAT_MODE,
+    IntegerMatrix,
     ScalarMode,
     Spectrum,
-    _integer_multiple,
     as_exact,
+    integer_form,
 )
 
 __all__ = [
@@ -71,19 +73,19 @@ class ColumnSumViolationError(ValueError):
 class DynMap:
     """A linear map on the ambient space of a cone.
 
-    ``matrix`` is the float representation used for spectral work; ``exact``
-    is the same matrix over Fractions when the input was rational, else None.
-    ``provenance`` is one of ``"raw"``, ``"stochastic"``, ``"kraus"``.
+    ``matrix`` is the float representation used for spectral work;
+    ``integer`` is the same matrix as ``N / D`` when the input was rational,
+    else None.  ``provenance`` is one of ``"raw"``, ``"stochastic"``,
+    ``"kraus"``.
     """
 
     matrix: np.ndarray
     cone: Cone
     unit: np.ndarray
-    exact: list | None = None
+    integer: IntegerMatrix | None = None
     unit_exact: list | None = None
     provenance: str = "raw"
     kraus_ops: list | None = None
-    kraus_rank: int | None = None
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=float)
@@ -96,25 +98,39 @@ class DynMap:
     def dim(self) -> int:
         return self.cone.dim
 
+    @property
+    def exact(self) -> list | None:
+        """The exact matrix as rows of Fractions, derived from ``integer``
+        for readers outside the library; None for a float map."""
+        if self.integer is None:
+            return None
+        n, d = self.integer
+        return [[Fraction(v, d) for v in row] for row in n.tolist()]
+
     @cached_property
     def spectrum(self) -> Spectrum:
         """Spectral facts of the map, each computed once on first use."""
-        return Spectrum(self.matrix, self.exact)
+        return Spectrum(self.matrix, self.integer)
 
     @cached_property
     def ray_images(self) -> RayImages:
         """The cone's dual rays paired with the images of its extreme rays
-        (:meth:`~conemix.cones.Cone.ray_images`), on an integer multiple
+        (:meth:`~conemix.cones.Cone.ray_images`), on the integer matrix N
         of an exact map; raises where the cone has no finite ray list."""
-        return self.cone.ray_images(
-            self.matrix if self.exact is None
-            else _integer_multiple(self.exact))
+        return self.cone.ray_images(_own_matrix(self))
 
 
 def _own_matrix(a: DynMap) -> np.ndarray:
-    """The matrix in the map's own arithmetic: an object array of
-    Fractions for an exact map, the float array otherwise."""
-    return a.matrix if a.exact is None else np.array(a.exact, dtype=object)
+    """The matrix in the map's own arithmetic: the integer matrix N for an
+    exact map, a positive multiple that keeps every sign, the float array
+    otherwise."""
+    return a.matrix if a.integer is None else a.integer.N
+
+
+def _entry(a: DynMap, value):
+    """An entry (or a sum of entries) of ``_own_matrix(a)`` as a value of
+    the map itself, for messages."""
+    return value if a.integer is None else Fraction(value, a.integer.D)
 
 
 @dataclass(frozen=True)
@@ -140,13 +156,25 @@ def _check_shape(matrix, cone):
 def from_matrix(m, cone: Cone, unit=None, mode: ScalarMode = FLOAT_MODE) -> DynMap:
     """Wrap a raw square matrix acting on ``cone``.
 
-    A matrix and a unit that :func:`~conemix.linalg.as_exact` finds exact
-    keep a Fraction copy for the exact classification routes.  The shape
-    is checked against the cone before anything of the cone's size is
-    built.
+    A matrix that :func:`~conemix.linalg.as_exact` finds exact is held as
+    ``N / D`` for the exact classification routes, and an exact unit as
+    Fractions.  The shape is checked against the cone before anything of
+    the cone's size is built.
     """
     exact = as_exact(m)
-    matrix = np.asarray(m if exact is None else exact, dtype=float)
+    return _on_cone(m if exact is None else integer_form(exact), cone, unit,
+                    mode)
+
+
+def _on_cone(m, cone: Cone, unit=None,
+             mode: ScalarMode = FLOAT_MODE) -> DynMap:
+    """:func:`from_matrix` after :func:`~conemix.linalg.as_exact`: m is an
+    :class:`~conemix.linalg.IntegerMatrix` or a float matrix.  The float
+    copy of ``N / D`` divides Python ints, which rounds correctly, like
+    ``float`` of a Fraction."""
+    integer = m if isinstance(m, IntegerMatrix) else None
+    matrix = np.asarray(m if integer is None else integer.N / integer.D,
+                        dtype=float)
     _check_shape(matrix, cone)
     unit_exact = as_exact(unit)
     if unit is None:
@@ -159,7 +187,7 @@ def from_matrix(m, cone: Cone, unit=None, mode: ScalarMode = FLOAT_MODE) -> DynM
     else:
         unit_f = validate_unit(cone, unit if unit_exact is None else unit_exact,
                                mode)
-    return DynMap(matrix, cone, unit_f, exact=exact, unit_exact=unit_exact)
+    return DynMap(matrix, cone, unit_f, integer=integer, unit_exact=unit_exact)
 
 
 def from_stochastic(w) -> DynMap:
@@ -176,12 +204,15 @@ def from_stochastic(w) -> DynMap:
     bad = np.argwhere(m < 0)
     if bad.size:
         i, j = bad[0]
-        raise NegativeEntryError(f"entry ({i},{j}) = {m[i, j]} is negative")
+        raise NegativeEntryError(
+            f"entry ({i},{j}) = {_entry(a, m[i, j])} is negative")
     sums = m.sum(axis=0)
-    off = np.argwhere(abs(sums - 1) > (0 if a.exact is not None else 1e-12))
+    off = np.argwhere(abs(sums - 1) > 1e-12) if a.integer is None \
+        else np.argwhere(sums != a.integer.D)
     if off.size:
         j = int(off[0][0])
-        raise ColumnSumViolationError(f"column {j} sums to {sums[j]}, not 1")
+        raise ColumnSumViolationError(
+            f"column {j} sums to {_entry(a, sums[j])}, not 1")
     return a
 
 
@@ -210,10 +241,8 @@ def from_kraus(ops) -> DynMap:
         for idx in range(d):
             images[idx] += k @ basis.mats[idx] @ kd
     matrix = np.einsum("aij,bji->ab", basis.mats, images).real
-    stacked = np.array([k.ravel() for k in kraus])
-    rank = int(np.linalg.matrix_rank(stacked))
     return DynMap(matrix, cone, cone.default_unit(), provenance="kraus",
-                  kraus_ops=kraus, kraus_rank=rank)
+                  kraus_ops=kraus)
 
 
 def adjoint(a: DynMap) -> DynMap:
@@ -221,10 +250,13 @@ def adjoint(a: DynMap) -> DynMap:
     with that cone's default unit (interior to its dual, the cone of a).
 
     Coordinates are orthonormal for the ambient inner product, so the
-    adjoint is literally the transpose.  Self-dual cones keep their cone;
-    tensor cones with PSD operands raise :class:`UnsupportedConeOperation`.
+    adjoint is literally the transpose: ``(N^T, D)`` for an exact map.
+    Self-dual cones keep their cone; tensor cones with PSD operands raise
+    :class:`UnsupportedConeOperation`.
     """
-    return from_matrix(_own_matrix(a).T.copy(), a.cone.dual())
+    m = a.matrix.T.copy() if a.integer is None \
+        else IntegerMatrix(a.integer.N.T.copy(), a.integer.D)
+    return _on_cone(m, a.cone.dual())
 
 
 def is_dup(a: DynMap) -> bool:
@@ -233,13 +265,12 @@ def is_dup(a: DynMap) -> bool:
     Exact when both the matrix and the unit are rational; otherwise within
     a relative tolerance.
     """
-    if a.exact is not None and a.unit_exact is not None:
-        # A* u = u  <=>  (D A)^T (c u) = D (c u), for D and c the lcms of
-        # the denominators of A and of u: one product of Python ints
-        scale = math.lcm(*(x.denominator for row in a.exact for x in row))
-        m = _integer_multiple(a.exact)
-        u = _integer_multiple([a.unit_exact])[0]
-        return bool(np.all(m.T @ u == scale * u))
+    if a.integer is not None and a.unit_exact is not None:
+        # A* u = u  <=>  N^T (c u) = D (c u) for A = N / D and c u an
+        # integer multiple of u: one product of Python ints
+        n, d = a.integer
+        u = integer_form(a.unit_exact).N
+        return bool(np.all(n.T @ u == d * u))
     u = a.unit
     gap = a.matrix.T @ u - u
     cutoff = 1e-9 * max(1.0, np.linalg.norm(u))
@@ -281,13 +312,13 @@ def is_positive(a: DynMap, mode: ScalarMode = FLOAT_MODE) -> PositivityVerdict:
     cone = a.cone
     if isinstance(cone, Orthant):
         m = _own_matrix(a)
-        cutoff = 0 if a.exact is not None else \
+        cutoff = 0 if a.integer is not None else \
             mode.eps_interior * max(1.0, float(np.max(np.abs(m))))
         bad = np.argwhere(m < -cutoff)
         if bad.size:
             i, j = (int(v) for v in bad[0])
             return PositivityVerdict(
-                "no", f"entry ({i},{j}) = {m[i, j]} is negative")
+                "no", f"entry ({i},{j}) = {_entry(a, m[i, j])} is negative")
         return PositivityVerdict("yes", "all entries nonnegative")
 
     if isinstance(cone, (Polyhedral, TensorCone)):

@@ -7,12 +7,12 @@ from itertools import product
 import numpy as np
 
 from conemix import FLOAT_MODE, RATIONAL_MODE, Digraph, MultiplicityPair, \
-    NotErgodicError, Orthant, Polyhedral, TensorCone, \
-    UnsupportedConeOperation, adjoint, from_kraus, from_matrix, \
-    from_stochastic, strongly_connected, tensor_product_digraph
+    NotErgodicError, NotStronglyConnectedError, Orthant, Polyhedral, \
+    TensorCone, UnsupportedConeOperation, adjoint, from_kraus, from_matrix, \
+    from_stochastic, strongly_connected, strongly_connected_components
 from conemix.classify import Route, _margin_probe
-from conemix.linalg import _integer_multiple, _integer_rows, _kernel_chain, \
-    as_exact, chain_pair, exact_shift
+from conemix.linalg import _kernel_chain, _shift, as_exact, chain_pair, \
+    integer_form
 
 
 def random_stochastic_exact(rng, d):
@@ -228,8 +228,32 @@ def reference_kron_r2_pair(a):
     r = a.spectrum.r_exact
     if r is None:
         return MultiplicityPair(0, 0)
-    exact = np.array(a.exact, dtype=object)
-    return chain_pair(_kernel_chain(np.kron(exact, exact), r * r))
+    # q^2 (N (x) N) - (p D)^2 I = (q D)^2 (A (x) A - r^2 I) for r = p/q
+    n, d = a.integer
+    return chain_pair(_kernel_chain(np.kron(n, n) * r.denominator ** 2,
+                                    (r.numerator * d) ** 2))
+
+
+def tensor_product_digraph(g, h):
+    """Edge (u1,u2) -> (v1,v2) iff u1 -> v1 and u2 -> v2."""
+    succ = []
+    for u1 in range(g.n):
+        for u2 in range(h.n):
+            succ.append(tuple(v1 * h.n + v2
+                              for v1 in g.succ[u1] for v2 in h.succ[u2]))
+    return Digraph(g.n * h.n, tuple(succ))
+
+
+def tensor_scc_count(g):
+    """Number of strongly connected components of g (x) g.
+
+    For a strongly connected g every vertex of the product lies on a cycle,
+    and the count equals the period of g.
+    """
+    if not strongly_connected(g):
+        raise NotStronglyConnectedError(
+            "tensor SCC count requires strong connectivity")
+    return len(strongly_connected_components(tensor_product_digraph(g, g)))
 
 
 def reference_kron_digraph_connected(pattern):
@@ -409,8 +433,8 @@ def reference_stationary_exact(a):
             raise NotErgodicError(
                 f"{what} {r} has geometric multiplicity {len(basis)}",
                 geometric=len(basis))
-        v = basis[0]
-        vecs.append([-x for x in v] if max(v, key=abs) < 0 else list(v))
+        v = [Fraction(x) for x in basis[0]]
+        vecs.append([-x for x in v] if max(v, key=abs) < 0 else v)
     out = []
     for vec, member in zip(vecs, (a.cone.contains, a.cone.dual_contains)):
         turned = _oriented(vec, member, RATIONAL_MODE)
@@ -534,8 +558,8 @@ def _binomial_power_route(a, gens, mode):
     if a.exact is None:
         step, gens = np.eye(a.dim) + a.matrix, np.array(gens, dtype=float)
     else:
-        step = _integer_multiple(exact_shift(a.exact, -1))
-        gens = np.array(_integer_rows(gens), dtype=object)
+        step = _shift(a.integer.N, -a.integer.D)
+        gens = _integer_rows(gens)
     power = np.linalg.matrix_power(step, a.dim - 1)
     images = [power @ g for g in gens]
     return _margin_probe(
@@ -550,9 +574,9 @@ def _reachability_route(a, gens, dual_gens, mode):
     each generator and dual generator, which keep every pairing's sign."""
     d = a.dim
     if a.exact is not None:
-        step = _integer_multiple(a.exact)
-        duals = np.array(_integer_rows(dual_gens), dtype=object)
-        for v in np.array(_integer_rows(gens), dtype=object):
+        step = a.integer.N
+        duals = _integer_rows(dual_gens)
+        for v in _integer_rows(gens):
             hit = np.zeros(len(duals), dtype=bool)
             for _ in range(d):
                 hit |= duals @ v > 0
@@ -576,6 +600,11 @@ def _reachability_route(a, gens, dual_gens, mode):
     return _margin_probe(
         lambda m: bool(np.all(np.any(dots > m.eps_interior * norms,
                                      axis=0))), mode)
+
+
+def _integer_rows(rows):
+    """Each row of Fractions times its own least common denominator."""
+    return np.array([integer_form(row).N for row in rows], dtype=object)
 
 
 def generator_route_references(a, mode=FLOAT_MODE):

@@ -31,7 +31,6 @@ from conemix import (
     power_trajectory,
     stationary_pair,
     strongly_connected,
-    tensor_scc_count,
     u_norm,
 )
 from conemix.classify import (
@@ -48,6 +47,7 @@ from helpers import (
     random_stochastic_exact,
     random_strongly_connected_digraph,
     seeded_polyhedral_cones,
+    tensor_scc_count,
     to_float_rows,
 )
 

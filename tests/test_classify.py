@@ -1,5 +1,7 @@
 import importlib
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,16 +30,17 @@ from conemix import (
     is_positive,
     is_primitive,
     period,
-    power_interior_probe,
     stationary_pair,
     strongly_connected,
-    tensor_product_digraph,
-    tensor_scc_count,
 )
 from conemix.classify import irreducible_routes, mixing_routes, \
     primitive_routes
-from helpers import random_dense_stochastic, random_kraus_channel, \
-    random_stochastic_map
+from conemix.cli import load_problem
+from helpers import random_dense_stochastic, random_exact_chain, \
+    random_kraus_channel, random_stochastic_map, route_corpus, \
+    tensor_product_digraph, tensor_scc_count
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 CHAIN4 = [[0, 1, 0, 1], [Fraction(1, 2), 0, 0, 0],
           [Fraction(1, 2), 0, 0, 0], [0, 0, 1, 0]]
@@ -155,8 +158,8 @@ def test_swap_is_ergodic_not_mixing():
 def test_swap_kron_kernel_dimension():
     from conemix import linalg
     a = swap_chain()
-    exact = np.array(a.exact, dtype=object)
-    shifted = linalg.exact_shift(np.kron(exact, exact), 1)
+    n, d = a.integer
+    shifted = linalg._shift(np.kron(n, n), d * d)
     assert 4 - linalg.exact_rank(shifted) == 2
 
 
@@ -482,25 +485,6 @@ def test_interior_pair_that_cannot_run_is_skipped():
         assert f"tolerance-marginal:{family}:interior-pair" not in flags
 
 
-def test_power_interior_probe_classical():
-    reached, n = power_interior_probe(chain4())
-    assert reached and 1 <= n <= 10
-    reached, n = power_interior_probe(swap_chain())
-    assert not reached and n is None
-
-
-def test_power_interior_probe_quantum():
-    x = np.array([[0, 1], [1, 0]], dtype=complex)
-    y = np.array([[0, -1j], [1j, 0]])
-    z = np.diag([1.0, -1.0]).astype(complex)
-    dep = from_kraus([0.5 * np.eye(2), 0.5 * x, 0.5 * y, 0.5 * z])
-    reached, n = power_interior_probe(dep)
-    assert reached and n == 1
-    ident = from_kraus([np.eye(2)])
-    reached, n = power_interior_probe(ident)
-    assert not reached
-
-
 def test_stationary_pair_eigen_residuals():
     rng = np.random.default_rng(37)
     checked = 0
@@ -607,6 +591,20 @@ def test_split_jordan_block_multiplicities():
         assert report.multiplicity_r2_kron == (10, 16)
         assert not report.ergodic and not report.mixing
     assert from_matrix(SPLIT_PEAK_MAP, Orthant(4)).spectrum.r_exact == 1
+
+
+def test_report_gives_the_verified_radius():
+    # float radii 1 + 5.1e-7 (the split block) and 1 - 2e-16 (the chain);
+    # both exact radii are 1, the block's of algebraic multiplicity 4, so
+    # its second-largest modulus is 1 too
+    split = classify(from_matrix(SPLIT_PEAK_MAP, Orthant(4)))
+    assert (split.r, split.gap_ratio, split.multiplicity_r.algebraic) == \
+        (1.0, 1.0, 4)
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    chain = classify(from_stochastic([[half, half, 0], [half, 0, 3 * quarter],
+                                      [0, half, quarter]]))
+    assert chain.r == 1.0
+    assert chain.multiplicity_r == (1, 1) and chain.gap_ratio < 1
 
 
 # a simple r next to a distinct eigenvalue coupled to it: the rank profile
@@ -724,3 +722,91 @@ def _radius_verdict(m):
 def test_exact_maps_cut_at_zero(m, probe, exact, inexact):
     assert probe(m) == exact
     assert probe([[float(v) for v in row] for row in m]) == inexact
+
+
+# ---------------------------------------------------------------------------
+# exact maps are one integer matrix and one denominator
+# ---------------------------------------------------------------------------
+
+def test_classify_of_an_exact_chain_builds_fractions_independent_of_d(
+        monkeypatch):
+    made = []
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(cls)
+        return original(cls, *args, **kwargs)
+
+    counts = []
+    for d in (4, 8, 12):
+        a = from_stochastic(random_exact_chain(np.random.default_rng(0), d,
+                                               "random"))
+        made.clear()
+        monkeypatch.setattr(Fraction, "__new__", counting)
+        classify(a, RATIONAL_MODE)
+        monkeypatch.setattr(Fraction, "__new__", original)
+        counts.append(len(made))
+    assert counts[0] == counts[1] == counts[2]
+
+
+#: c = p/q; 2^31 - 1 is the prime of the modular certificate, so it then
+#: divides the map's denominator
+SCALES = [Fraction(3), Fraction(3, 7), Fraction(5, 2 ** 31 - 1),
+          Fraction(2, 10 ** 12 + 39)]
+
+
+def _exact_maps():
+    """The exact maps of ``route_corpus()`` and of the fixtures."""
+    maps = [(name, a) for name, a in route_corpus() if a.integer is not None]
+    for path in sorted(FIXTURES.glob("*.json")):
+        dyn, _ = load_problem(str(path))
+        if dyn.integer is not None:
+            maps.append((path.stem, dyn))
+    return maps
+
+
+def _scale_free_flags(report) -> list:
+    """The flags, less what a rescaling changes: ``non-dup`` and the
+    ``fixed-space-dim`` route read whether the adjoint fixes the unit, two
+    messages quote a value of the map, and a ``tolerance-marginal`` float
+    route sits within 10x of its cutoff, where rounding the rescaled float
+    matrix differently can move it across."""
+    flags = []
+    for f in report.hypothesis_flags:
+        if f != "non-dup" and not f.startswith("tolerance-marginal:"):
+            f = re.sub(r",?fixed-space-dim=\w+", "", f)
+            flags.append(re.sub(r"= \S+ is negative|eigenvalue \S+ has", "",
+                                f))
+    return flags
+
+
+def _same_vector(mine, base, exact):
+    if mine is None or base is None:
+        return mine is base
+    return np.array_equal(mine, base) if exact else \
+        np.allclose(mine, base, rtol=1e-9, atol=1e-12)
+
+
+def test_exact_reports_are_blind_to_scale_and_denominator():
+    for name, a in _exact_maps():
+        bases = [(classify(b), b.spectrum.r_exact is not None)
+                 for b in (a, adjoint(a))]
+        for c in SCALES:
+            scaled = from_matrix([[c * v for v in row] for row in a.exact],
+                                 a.cone, a.unit_exact)
+            for ours, (theirs, exact) in zip((scaled, adjoint(scaled)),
+                                             bases):
+                mine = classify(ours)
+                where = f"{name} * {c}"
+                assert (ours.spectrum.r_exact is not None) == exact, where
+                assert mine.verdicts() == theirs.verdicts(), where
+                assert mine.multiplicity_r == theirs.multiplicity_r, where
+                assert mine.multiplicity_r2_kron == \
+                    theirs.multiplicity_r2_kron, where
+                assert _scale_free_flags(mine) == \
+                    _scale_free_flags(theirs), where
+                assert mine.r == pytest.approx(float(c) * theirs.r,
+                                               rel=1e-9), where
+                for v, w in ((mine.stationary, theirs.stationary),
+                             (mine.dual_stationary, theirs.dual_stationary)):
+                    assert _same_vector(v, w, exact), where

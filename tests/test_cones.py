@@ -23,8 +23,7 @@ from conemix import (
     validate_unit,
 )
 from conemix.cli import report_to_dict
-from conemix.cones import _primitive
-from conemix.linalg import exact_rank
+from conemix.linalg import _primitive, exact_rank, integer_form
 from helpers import CONE_QUERIES, cyclic_polytope_generators, \
     generator_map, reference_cone_queries, reference_float_cone_queries, \
     reference_tensor_inner, route_corpus, scaled_cone, \
@@ -397,8 +396,13 @@ def test_dual_ray_enumeration_nontrivial():
         assert sum(1 for v in dots if v == 0) == 2  # each facet holds 2 rays
 
 
+def _primitive_row(row):
+    """A row of Fractions scaled to a primitive integer list."""
+    return _primitive(integer_form(row).N)
+
+
 def _rays(rows):
-    return {tuple(int(v) for v in _primitive(row)) for row in rows}
+    return {tuple(_primitive_row(row)) for row in rows}
 
 
 def test_dual_matches_brute_force_enumeration():
@@ -414,10 +418,12 @@ def test_dual_matches_brute_force_enumeration():
         assert len(dual.exact_dual_generators()) == \
             len(brute.exact_dual_generators()), name
         # dual() runs no rank: the rays it takes over span
-        assert exact_rank(dual.exact_dual_generators()) == dual.dim, name
+        assert exact_rank(integer_form(dual.exact_dual_generators()).N) \
+            == dual.dim, name
         double = dual.dual()
         assert [list(map(int, g)) for g in double.exact_extremal_generators()] \
-            == [_primitive(g) for g in cone.exact_extremal_generators()], name
+            == [_primitive_row(g) for g in cone.exact_extremal_generators()], \
+            name
         assert double.exact_dual_generators() == cone.exact_dual_generators(), \
             name
 
@@ -448,7 +454,8 @@ def test_simplicial_tensor_cone_matches_enumeration():
             brute.exact_extremal_generators(), name
         for ours, ref in ((cone, brute), (cone.dual(), brute.dual())):
             # the product path runs no rank: products of spanning sets span
-            assert exact_rank(ours.exact_dual_generators()) == ours.dim, name
+            assert exact_rank(integer_form(ours.exact_dual_generators()).N) \
+                == ours.dim, name
             for rays in ("exact_extremal_generators",
                          "exact_dual_generators"):
                 mine, theirs = getattr(ours, rays)(), getattr(ref, rays)()

@@ -16,6 +16,9 @@ MODULES = sorted(info.name for info in pkgutil.iter_modules(conemix.__path__))
 CONE_PRIVATE = re.compile(
     r"\._(inner|poly|delegate|gens|dual_rays|extremal|gens_f|dual_f|"
     r"gens_int|dual_int)\b")
+#: the parts of a rational, and the lcm that clears denominators: only
+#: ``linalg.py`` turns rationals into integers
+DENOMINATORS = re.compile(r"\.(denominator|numerator)\b|\blcm\b")
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -38,13 +41,22 @@ def test_package_reexports_only_public_names():
     assert stray == []
 
 
-def test_only_cones_reads_private_cone_state():
+def _lines_outside(owner, pattern):
+    """Lines of the package's modules other than ``owner`` that match."""
     hits = []
     for path in sorted(Path(conemix.__file__).parent.glob("*.py")):
-        if path.name == "cones.py":
+        if path.name == owner:
             continue
         for n, line in enumerate(path.read_text(encoding="utf-8")
                                  .splitlines(), 1):
-            if CONE_PRIVATE.search(line):
+            if pattern.search(line):
                 hits.append(f"{path.name}:{n}: {line.strip()}")
-    assert hits == []
+    return hits
+
+
+def test_only_cones_reads_private_cone_state():
+    assert _lines_outside("cones.py", CONE_PRIVATE) == []
+
+
+def test_only_linalg_clears_denominators():
+    assert _lines_outside("linalg.py", DENOMINATORS) == []

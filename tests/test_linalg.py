@@ -1,3 +1,4 @@
+import math
 import time
 from fractions import Fraction
 
@@ -14,16 +15,28 @@ def exact(m):
     return la.as_exact(m)
 
 
+def integer(m):
+    """The integer matrix N of ``m = N / D``."""
+    return la.integer_form(m).N
+
+
+def chain(m, lam):
+    # q N - p D I = q D (m - lam I) for m = N / D and lam = p / q
+    n, d = la.integer_form(m)
+    lam = Fraction(lam)
+    return la._kernel_chain(n * lam.denominator, lam.numerator * d)
+
+
 def pair(m, lam):
-    return la.chain_pair(la._kernel_chain(m, lam))
+    return la.chain_pair(chain(m, lam))
 
 
 def degree(m, lam):
-    return len(la._kernel_chain(m, lam))
+    return len(chain(m, lam))
 
 
 def kernel_dim(m):
-    return len(la.exact_kernel_basis(m))
+    return len(la.exact_kernel_basis(integer(m)))
 
 
 # exact products are numpy's operators on object arrays of Fractions
@@ -87,7 +100,7 @@ def test_kron_acts_on_products():
 def test_kernel_dim_examples():
     assert kernel_dim(exact([[0] * 3] * 3)) == 3
     assert kernel_dim(IDENTITY_2) == 0
-    assert kernel_dim(la.exact_shift(exact(SHEAR), 1)) == 1
+    assert kernel_dim(la._shift(integer(SHEAR), 1)) == 1
 
 
 def test_kernel_dim_exact_matches_float():
@@ -109,7 +122,7 @@ def test_kernel_basis_annihilates():
     m = [[Fraction(1), Fraction(2), Fraction(3)],
          [Fraction(2), Fraction(4), Fraction(6)],
          [Fraction(0), Fraction(1), Fraction(1)]]
-    basis = la.exact_kernel_basis(m)
+    basis = la.exact_kernel_basis(integer(m))
     assert len(basis) == 1
     assert all(sum(r * v for r, v in zip(row, basis[0])) == 0 for row in m)
 
@@ -312,8 +325,8 @@ def test_exact_rank_of_unimodular_products():
         mat = [[Fraction(v, s) for v in row] for row, s in
                zip(_matmul(_matmul(p, d), q),
                    (int(rng.integers(1, 7)) for _ in range(m)))]
-        assert la.exact_rank(mat) == k
-        basis = la.exact_kernel_basis(mat)
+        assert la.exact_rank(integer(mat)) == k
+        basis = la.exact_kernel_basis(integer(mat))
         assert len(basis) == n - k
         assert all(sum(x * y for x, y in zip(row, v)) == 0
                    for row in mat for v in basis)
@@ -344,8 +357,14 @@ def test_exact_kernel_basis_of_known_echelon_forms():
             for i, pc in enumerate(pivots):
                 v[pc] = -r[i][fc]
             expected.append(v)
-        assert la.exact_rank(mat) == k
-        assert la.exact_kernel_basis(mat) == expected
+        assert la.exact_rank(integer(mat)) == k
+        # primitive integer vectors, each a positive multiple of the
+        # reduced row-echelon basis vector of its free column
+        basis = la.exact_kernel_basis(integer(mat))
+        assert all(math.gcd(*v) == 1 and v[fc] > 0
+                   for v, fc in zip(basis, free))
+        assert [[Fraction(x, v[fc]) for x in v]
+                for v, fc in zip(basis, free)] == expected
 
 
 def _jordan(blocks):

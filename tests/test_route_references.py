@@ -61,9 +61,15 @@ def test_stationary_pair_matches_reference():
         if err is None:
             assert ours.exact == exact, name
             if exact:
-                assert list(ours.x) == ref[0], name
-                assert list(ours.y) == ref[1], name
-                assert all(isinstance(v, Fraction) for v in ours.x), name
+                # integer directions: x0 = x / sum|x|, y0 = y sum|x| / <y, x>
+                norm, pairing = sum(abs(v) for v in ours.x), ours.y @ ours.x
+                assert [Fraction(v, norm) for v in ours.x] == ref[0], name
+                assert [Fraction(v * norm, pairing) for v in ours.y] \
+                    == ref[1], name
+                assert all(type(v) is int for v in ours.x), name
+                # the report's floats round the exact pair once
+                assert list(ours.x0) == [float(v) for v in ref[0]], name
+                assert list(ours.y0) == [float(v) for v in ref[1]], name
             else:
                 assert np.array_equal(ours.x, ref[0]), name
                 assert np.array_equal(ours.y, ref[1]), name
