@@ -10,21 +10,25 @@ Each verdict has independent routes that are cross-checked:
   of ``r^2`` on the Kronecker square (float, counted from the products of
   A's eigenvalues), and the spectral-gap condition computed from the full
   eigenvalue list;
-* irreducible -- interior stationary pair (the definition); for positive
-  maps on polyhedral and finite tensor cones, no invariant face but 0 and
-  K, read off the face map of one integer sign pattern; for classical
-  maps, strong connectivity of the transition digraph;
-* primitive -- interior pair on top of mixing; for positive maps on
-  polyhedral and finite tensor cones, every ray's face carried onto K by
-  the same face map; for classical maps, Wielandt's boolean-power test on
-  the map's pattern, and aperiodicity.
+* irreducible -- interior stationary pair (the definition); for maps
+  whose positivity is ``yes``: on polyhedral and finite tensor cones, no
+  invariant face but 0 and K, read off the face map of one integer sign
+  pattern; for classical maps, strong connectivity of the transition
+  digraph;
+* primitive -- interior pair on top of mixing; for maps whose positivity
+  is ``yes``: on polyhedral and finite tensor cones, every ray's face
+  carried onto K by the same face map; for classical maps, Wielandt's
+  boolean-power test on the map's pattern, and aperiodicity.
 
 Irreducible and primitive have the interior pair alone on PSD cones and
-for maps that are not positive on polyhedral and finite tensor cones.
-Exact routes are authoritative when the map carries rational data.
-:func:`classify` builds the stationary pair, the ergodic and mixing
-families and the face map once per report and hands them to the
-irreducible and primitive families.
+for maps whose positivity is not ``yes``: the face map and the digraph
+read only where the map sends the cone, which says nothing of a map that
+leaves it.  Exact routes are authoritative when the map carries rational
+data.  :func:`classify` builds each fact once per report and hands it to
+the families that read it: the stationary pair and its interior test
+(the cone's slack of each vector, compared at every probe tolerance),
+the ergodic and mixing families, the face map, and the digraph routes
+(one pattern, one digraph, one Tarjan run).
 Disagreements between routes are never silently resolved; they are
 recorded as flags on the report.
 """
@@ -36,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cones import UnsupportedConeOperation, is_classical
+from .cones import UnsupportedConeOperation, is_classical, member
 from .linalg import (
     FLOAT_MODE,
     MultiplicityPair,
@@ -109,11 +113,15 @@ def _pattern(a: DynMap, mode: ScalarMode) -> np.ndarray:
     return (m > cutoff).astype(np.int64)
 
 
+def _digraph(pattern: np.ndarray) -> Digraph:
+    """Digraph of a 0/1 pattern: edge i -> j iff entry (j, i) is 1."""
+    return Digraph(len(pattern), tuple(
+        tuple(np.flatnonzero(col).tolist()) for col in pattern.T))
+
+
 def digraph_of(m: DynMap, mode: ScalarMode = FLOAT_MODE) -> Digraph:
     """Digraph of a map: edge i -> j present iff entry (j, i) is positive."""
-    pattern = _pattern(m, mode)
-    return Digraph(len(pattern), tuple(
-        tuple(int(j) for j in np.nonzero(col)[0]) for col in pattern.T))
+    return _digraph(_pattern(m, mode))
 
 
 def strongly_connected_components(g: Digraph):
@@ -170,14 +178,23 @@ def strongly_connected(g: Digraph) -> bool:
 
 
 def period(g: Digraph) -> int:
-    """GCD of all cycle lengths of a strongly connected digraph.
+    """GCD of all cycle lengths of a strongly connected digraph."""
+    if not strongly_connected(g):
+        raise NotStronglyConnectedError("period requires strong connectivity")
+    p = _cycle_gcd(g)
+    if p == 0:
+        raise NotStronglyConnectedError("graph has no cycles")
+    return p
+
+
+def _cycle_gcd(g: Digraph) -> int:
+    """GCD of all cycle lengths of a digraph that the caller knows to be
+    strongly connected, 0 when it has no cycles.
 
     Computed from a BFS layering: every edge (u, v) contributes
     ``|level(u) + 1 - level(v)|`` to the gcd (tree edges contribute 0,
     which gcd ignores).
     """
-    if not strongly_connected(g):
-        raise NotStronglyConnectedError("period requires strong connectivity")
     level = [-1] * g.n
     level[0] = 0
     queue = [0]
@@ -193,8 +210,6 @@ def period(g: Digraph) -> int:
     for u in range(g.n):
         for v in g.succ[u]:
             p = math.gcd(p, abs(level[u] + 1 - level[v]))
-    if p == 0:
-        raise NotStronglyConnectedError("graph has no cycles")
     return p
 
 
@@ -385,21 +400,37 @@ def _stationary_or_error(a: DynMap, mode: ScalarMode):
         return err
 
 
-def _interior_pair_route(a: DynMap, base: bool, pair,
-                         mode: ScalarMode) -> Route:
-    """base verdict (ergodic/mixing) AND interior stationary pair, for
-    ``pair`` what ``_stationary_or_error`` returned; skipped when the cone
-    cannot decide interior membership of the pair."""
-    if not base or isinstance(pair, NotErgodicError):
-        return Route(False, a.integer is not None)
-    cone = a.cone
+def _interior_pair(a: DynMap, pair, mode: ScalarMode) -> tuple:
+    """The ``interior-pair`` route (its base verdict aside) and the dual
+    slack of the stationary pair, for ``pair`` what
+    ``_stationary_or_error`` returned.
+
+    The cone's ``slack`` of x and ``dual_slack`` of y (see
+    :meth:`~conemix.cones.Cone.slack`) are computed once and compared at
+    each probe tolerance; a slack the cone cannot compute is None.  The
+    route is skipped when a comparison needs such a slack, and False
+    without a pair, whose dual slack is None too."""
+    if isinstance(pair, NotErgodicError):
+        return Route(False, a.integer is not None), None
+    slacks = []
+    for query, v in ((a.cone.slack, pair.x), (a.cone.dual_slack, pair.y)):
+        try:
+            slacks.append(query(v, mode))
+        except UnsupportedConeOperation:
+            slacks.append(None)
+
+    def interior(slack, m):
+        if slack is None:
+            raise UnsupportedConeOperation("interior membership undecided")
+        return member(slack, m, interior=True)
+
+    xs, ys = slacks
     try:
-        return _margin_probe(
-            lambda m: (cone.interior_contains(pair.x, m)
-                       and cone.interior_dual_contains(pair.y, m)),
-            mode, pair.exact)
+        route = _margin_probe(
+            lambda m: interior(xs, m) and interior(ys, m), mode, pair.exact)
     except UnsupportedConeOperation:
-        return Route(False, False, skipped=True)
+        route = Route(False, False, skipped=True)
+    return route, ys
 
 
 def _face_verdicts(incidence: np.ndarray, moved: np.ndarray) -> tuple:
@@ -477,67 +508,75 @@ def _face_routes(a: DynMap, mode: ScalarMode, positive: bool) -> dict:
     }
 
 
-def _irreducible_routes(a: DynMap, mode: ScalarMode, ergodic: bool, pair,
-                        faces: dict) -> dict:
-    """The irreducible family from facts decided once: the ergodic verdict,
-    ``_stationary_or_error`` and ``_face_routes``."""
-    routes = {"interior-pair": _interior_pair_route(a, ergodic, pair, mode)}
-    routes.update(faces.get("irreducible", {}))
-    if is_classical(a.cone):
-        routes["digraph"] = Route(
-            strongly_connected(digraph_of(a, mode)), a.integer is not None)
+def _digraph_routes(a: DynMap, mode: ScalarMode, positive: bool) -> dict:
+    """``irreducible`` and ``primitive`` family routes of a classical map
+    that ``is_positive`` at ``mode`` (``positive``, the caller's verdict)
+    from one pattern, one digraph and one Tarjan run; empty otherwise.
+    The digraph reads only the positive entries, which, as the face map,
+    say nothing of a map that leaves the cone."""
+    if not positive or not is_classical(a.cone):
+        return {}
+    pattern = _pattern(a, mode)
+    g = _digraph(pattern)
+    connected = strongly_connected(g)
+    exact = a.integer is not None
+    return {
+        "irreducible": {"digraph": Route(connected, exact)},
+        "primitive": {
+            "kron-digraph": Route(_wielandt_primitive(pattern), exact),
+            "aperiodic": Route(connected and _cycle_gcd(g) == 1, exact)},
+    }
+
+
+def _pair_family(family: str, a: DynMap, base: bool,
+                 interior: Route | None, *lattices: dict) -> dict:
+    """The ``irreducible`` or ``primitive`` family from facts decided once:
+    its base verdict (ergodic or mixing), the ``_interior_pair`` route,
+    and the ``family`` routes of the ``_face_routes`` and
+    ``_digraph_routes`` results."""
+    routes = {"interior-pair": interior if base
+              else Route(False, a.integer is not None)}
+    for lattice in lattices:
+        routes.update(lattice.get(family, {}))
     return routes
 
 
-def _primitive_routes(a: DynMap, mode: ScalarMode, mixing: bool, pair,
-                      faces: dict) -> dict:
-    """The primitive family from facts decided once: the mixing verdict,
-    ``_stationary_or_error`` and ``_face_routes``."""
-    routes = {"interior-pair": _interior_pair_route(a, mixing, pair, mode)}
-    routes.update(faces.get("primitive", {}))
-    if is_classical(a.cone):
-        g = digraph_of(a, mode)
-        exact = a.integer is not None
-        routes["kron-digraph"] = Route(
-            _wielandt_primitive(_pattern(a, mode)), exact)
-        try:
-            aperiodic = period(g) == 1
-        except NotStronglyConnectedError:  # also: no cycles at all
-            aperiodic = False
-        routes["aperiodic"] = Route(aperiodic, exact)
-    return routes
+def _public_family(family: str, a: DynMap, mode: ScalarMode,
+                   base_routes) -> dict:
+    """``_pair_family`` for the public ``irreducible_routes`` and
+    ``primitive_routes``, with its base verdict from ``base_routes``."""
+    base = _resolve(base_routes(a, mode)).value
+    interior = _interior_pair(a, _stationary_or_error(a, mode), mode)[0] \
+        if base else None
+    positive = is_positive(a, mode).value == "yes"
+    return _pair_family(family, a, base, interior,
+                        _face_routes(a, mode, positive),
+                        _digraph_routes(a, mode, positive))
 
 
 def irreducible_routes(a: DynMap, mode: ScalarMode = FLOAT_MODE) -> dict:
     """Every applicable irreducibility criterion, evaluated independently.
 
     Keys: ``interior-pair`` (the definition: ergodic with interior
-    stationary pair), ``face-closure`` (positive maps on polyhedral and
-    finite tensor cones: no invariant face but 0 and K), and for
-    classical maps ``digraph``.
+    stationary pair), and for maps whose positivity is ``yes``:
+    ``face-closure`` (polyhedral and finite tensor cones: no invariant
+    face but 0 and K) and, for classical maps, ``digraph``.
     """
-    ergodic = _resolve(ergodic_routes(a, mode)).value
-    pair = _stationary_or_error(a, mode) if ergodic else None
-    positive = is_positive(a, mode).value == "yes"
-    return _irreducible_routes(a, mode, ergodic, pair,
-                               _face_routes(a, mode, positive))
+    return _public_family("irreducible", a, mode, ergodic_routes)
 
 
 def primitive_routes(a: DynMap, mode: ScalarMode = FLOAT_MODE) -> dict:
     """Every applicable primitivity criterion, evaluated independently.
 
     Keys: ``interior-pair`` (the definition: mixing with interior
-    stationary pair), ``face-orbit`` (positive maps on polyhedral and
-    finite tensor cones: every ray's face is carried onto K), and for
-    classical maps ``kron-digraph`` (Wielandt's power test, which for
-    d >= 2 is strong connectivity of the Kronecker-square digraph) and
-    ``aperiodic`` (irreducible with period one).
+    stationary pair), and for maps whose positivity is ``yes``:
+    ``face-orbit`` (polyhedral and finite tensor cones: every ray's face
+    is carried onto K) and, for classical maps, ``kron-digraph``
+    (Wielandt's power test, which for d >= 2 is strong connectivity of
+    the Kronecker-square digraph) and ``aperiodic`` (irreducible with
+    period one).
     """
-    mixing = _resolve(mixing_routes(a, mode)).value
-    pair = _stationary_or_error(a, mode) if mixing else None
-    positive = is_positive(a, mode).value == "yes"
-    return _primitive_routes(a, mode, mixing, pair,
-                             _face_routes(a, mode, positive))
+    return _public_family("primitive", a, mode, mixing_routes)
 
 
 def _resolve(routes: dict) -> Route:
@@ -662,14 +701,19 @@ def classify(a: DynMap, mode: ScalarMode = FLOAT_MODE) -> ClassificationReport:
     ergodic_family = ergodic_routes(a, mode)
     mixing_family = mixing_routes(a, mode)
     pair = _stationary_or_error(a, mode)
-    faces = _face_routes(a, mode, pos.value == "yes")
+    interior, dual_slack = _interior_pair(a, pair, mode)
+    positive = pos.value == "yes"
+    lattices = (_face_routes(a, mode, positive),
+                _digraph_routes(a, mode, positive))
     families = {
         "ergodic": ergodic_family,
         "mixing": mixing_family,
-        "irreducible": _irreducible_routes(
-            a, mode, _resolve(ergodic_family).value, pair, faces),
-        "primitive": _primitive_routes(
-            a, mode, _resolve(mixing_family).value, pair, faces),
+        "irreducible": _pair_family(
+            "irreducible", a, _resolve(ergodic_family).value, interior,
+            *lattices),
+        "primitive": _pair_family(
+            "primitive", a, _resolve(mixing_family).value, interior,
+            *lattices),
     }
     verdicts = {}
     for family, routes in families.items():
@@ -686,11 +730,10 @@ def classify(a: DynMap, mode: ScalarMode = FLOAT_MODE) -> ClassificationReport:
         flags.append(f"no-stationary-pair: {pair.reason}")
     else:
         stationary, dual_stationary, pairing = pair.x0, pair.y0, 1.0
-        try:
-            if not a.cone.interior_dual_contains(pair.y, mode):
-                flags.append("dual-stationary-on-boundary")
-        except UnsupportedConeOperation:
+        if dual_slack is None:
             flags.append("dual-interior-undecidable")
+        elif not member(dual_slack, mode, interior=True):
+            flags.append("dual-stationary-on-boundary")
 
     ergodic = verdicts["ergodic"]
     mixing = verdicts["mixing"]

@@ -50,10 +50,9 @@ from .cones import (
     UnsupportedConeOperation,
 )
 from .classify import (
-    NotStronglyConnectedError,
+    _cycle_gcd,
     classify,
     digraph_of,
-    period,
     strongly_connected,
 )
 from .dynamics import (
@@ -487,10 +486,8 @@ def _cmd_graph(args) -> int:
         raise SchemaError("graph requires a classical (orthant-cone) map")
     g = digraph_of(dyn, mode)
     sc = strongly_connected(g)
-    try:
-        per = str(period(g))
-    except NotStronglyConnectedError:
-        per = "undefined"
+    # the period of a strongly connected digraph; undefined without cycles
+    per = str(_cycle_gcd(g) or "undefined") if sc else "undefined"
     lines = ["digraph map {"]
     lines.append(f"  // strongly_connected: {'true' if sc else 'false'}"
                  + ("" if sc else " (not strongly connected)"))

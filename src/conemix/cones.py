@@ -36,9 +36,14 @@ dual rays with the images of the extreme rays under a map M, one product
 ``D M G^T`` (:class:`RayImages`), whose sign pattern decides positivity
 and the face map of M.
 
-Query vectors that :func:`~conemix.linalg.as_exact` finds exact (ints,
-Fractions and rational strings; object arrays of them) are compared
-exactly where the cone has exact data, as the integer multiples that
+Every membership query reads one ``slack(x)`` (or ``dual_slack(y)``):
+the least pairing of the vector with the cone's unit dual rays (its
+least eigenvalue on the PSD cone) and its norm, which :func:`member`
+compares at a mode's tolerance, so a caller that probes several
+tolerances computes the numbers once.  Query vectors that
+:func:`~conemix.linalg.as_exact` finds exact (ints, Fractions and
+rational strings; object arrays of them) are compared exactly where the
+cone has exact data, as the integer multiples that
 :func:`~conemix.linalg.integer_vector` gives (the library's own object
 arrays of Python ints as they are); any other vector, a float array say,
 is compared within a tolerance scaled by its norm.
@@ -46,6 +51,7 @@ is compared within a tolerance scaled by its norm.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from itertools import combinations, product
@@ -74,6 +80,7 @@ __all__ = [
     "DimensionMismatchError",
     "InvalidUnitError",
     "validate_unit",
+    "member",
     "is_classical",
 ]
 
@@ -100,17 +107,32 @@ class Cone:
             raise DimensionMismatchError(
                 f"vector of length {len(x)} on a cone of dimension {self.dim}")
 
-    def contains(self, x, mode: ScalarMode = FLOAT_MODE) -> bool:
+    def slack(self, x, mode: ScalarMode = FLOAT_MODE) -> tuple:
+        """``(lo, scale)``: x lies in the cone when ``lo >= -eps scale``
+        and in its interior when ``lo > eps scale``, for eps the mode's
+        ``eps_interior`` (see :func:`member`).  ``lo`` is the least pairing
+        of x with the unit dual rays (the least eigenvalue on the PSD
+        cone) and ``scale`` the norm of x; an exact x gives the least
+        pairing of its integer multiple with the integer dual rays and
+        scale 0.  The mode sets no tolerance here: only the product test
+        of a tensor cone with PSD operands reads it."""
         raise NotImplementedError
+
+    def dual_slack(self, y, mode: ScalarMode = FLOAT_MODE) -> tuple:
+        """:meth:`slack` of y for the dual cone."""
+        return self.dual().slack(y, mode)
+
+    def contains(self, x, mode: ScalarMode = FLOAT_MODE) -> bool:
+        return member(self.slack(x, mode), mode)
 
     def interior_contains(self, x, mode: ScalarMode = FLOAT_MODE) -> bool:
-        raise NotImplementedError
+        return member(self.slack(x, mode), mode, interior=True)
 
     def dual_contains(self, y, mode: ScalarMode = FLOAT_MODE) -> bool:
-        return self.dual().contains(y, mode)
+        return member(self.dual_slack(y, mode), mode)
 
     def interior_dual_contains(self, y, mode: ScalarMode = FLOAT_MODE) -> bool:
-        return self.dual().interior_contains(y, mode)
+        return member(self.dual_slack(y, mode), mode, interior=True)
 
     def extremal_generators(self) -> list:
         """Float copies of :meth:`exact_extremal_generators`, same order."""
@@ -182,6 +204,16 @@ class RayImages:
         return (p > margin).astype(np.int8) - (p < -margin).astype(np.int8)
 
 
+def member(slack: tuple, mode: ScalarMode = FLOAT_MODE,
+           interior: bool = False) -> bool:
+    """Membership (or interior membership) at mode of a vector of this
+    :meth:`Cone.slack`: the numbers are computed once, and only this
+    comparison depends on the tolerance."""
+    lo, scale = slack
+    cutoff = mode.eps_interior * scale
+    return bool(lo > cutoff if interior else lo >= -cutoff)
+
+
 def _float_rows(rows) -> list:
     return [np.array([float(v) for v in r]) for r in rows]
 
@@ -210,21 +242,14 @@ class Orthant(Cone):
     def __hash__(self):
         return hash(("orthant", self.dim))
 
-    def contains(self, x, mode=FLOAT_MODE):
+    def slack(self, x, mode=FLOAT_MODE):
+        """The least entry of x, and its norm (0 for an exact x)."""
         self._check_dim(x)
         exact = integer_vector(x)
         if exact is not None:
-            return all(v >= 0 for v in exact)
+            return min(exact), 0
         xf = np.asarray(x, dtype=float)
-        return bool(np.all(xf >= -mode.eps_interior * np.linalg.norm(xf)))
-
-    def interior_contains(self, x, mode=FLOAT_MODE):
-        self._check_dim(x)
-        exact = integer_vector(x)
-        if exact is not None:
-            return all(v > 0 for v in exact)
-        xf = np.asarray(x, dtype=float)
-        return bool(np.all(xf > mode.eps_interior * np.linalg.norm(xf)))
+        return float(np.min(xf)), float(np.linalg.norm(xf))
 
     def dual(self):
         return self  # self-dual
@@ -256,7 +281,9 @@ class HermBasis:
     for each pair i < j the symmetric and the antisymmetric off-diagonal
     element.  Orthonormal under the trace inner product, so ``vec`` and
     ``mat`` are mutually inverse isometries between Hermitian matrices and
-    R^(h^2).
+    R^(h^2).  ``mats`` holds the basis matrices and ``flat`` the same
+    entries with each matrix as one row-major row of h^2; both are
+    read-only, so one basis per h is shared by every ``Psd(h)``.
     """
 
     def __init__(self, h: int):
@@ -279,6 +306,8 @@ class HermBasis:
                 asym[j, i] = 1j / math.sqrt(2)
                 mats.append(asym)
         self.mats = np.array(mats)
+        self.mats.setflags(write=False)
+        self.flat = self.mats.reshape(len(mats), h * h)
 
     @property
     def dim(self) -> int:
@@ -301,6 +330,13 @@ class HermBasis:
         return np.einsum("k,kij->ij", xf, self.mats)
 
 
+@functools.lru_cache(maxsize=None)
+def _shared_basis(h: int) -> HermBasis:
+    """The one :class:`HermBasis` of each h, built on first use; ``Psd``
+    caps h, so at most ``Psd.MAX_H`` are ever kept."""
+    return HermBasis(h)
+
+
 class Psd(Cone):
     """PSD matrices over h*h Hermitians, in orthonormal-basis coordinates."""
 
@@ -311,7 +347,7 @@ class Psd(Cone):
         if h > self.MAX_H:
             raise ValueError(f"matrix dimension {h} exceeds the cap {self.MAX_H}")
         self.h = int(h)
-        self.basis = HermBasis(h)
+        self.basis = _shared_basis(self.h)
         self.dim = self.basis.dim
 
     def __repr__(self):
@@ -329,13 +365,9 @@ class Psd(Cone):
         w = np.linalg.eigvalsh(self.basis.mat(xf))
         return float(w[0]), float(np.linalg.norm(xf))
 
-    def contains(self, x, mode=FLOAT_MODE):
-        lo, scale = self._min_eig(x)
-        return lo >= -mode.eps_interior * scale
-
-    def interior_contains(self, x, mode=FLOAT_MODE):
-        lo, scale = self._min_eig(x)
-        return lo > mode.eps_interior * scale
+    def slack(self, x, mode=FLOAT_MODE):
+        """The least eigenvalue of the matrix of x, and the norm of x."""
+        return self._min_eig(x)
 
     def dual(self):
         return self  # self-dual
@@ -466,29 +498,22 @@ class Polyhedral(Cone):
     def __repr__(self):
         return f"Polyhedral({len(self._gens)} generators, dim {self.dim})"
 
-    def _dots(self, rows_int, rows_float, x, mode, strict):
+    def _least_dot(self, rows_int, rows_float, x):
         self._check_dim(x)
         exact = integer_vector(x)
         if exact is not None:
             # a positive integer multiple of x has the same signs
-            dots = rows_int @ exact
-            return bool(np.all(dots > 0) if strict else np.all(dots >= 0))
+            return min(rows_int @ exact), 0
         xf = np.asarray(x, dtype=float)
-        margin = mode.eps_interior * np.linalg.norm(xf)
-        dots = rows_float @ xf
-        return bool(np.all(dots > margin) if strict else np.all(dots >= -margin))
+        return float(np.min(rows_float @ xf)), float(np.linalg.norm(xf))
 
-    def contains(self, x, mode=FLOAT_MODE):
-        return self._dots(self._dual_int, self._dual_f, x, mode, strict=False)
+    def slack(self, x, mode=FLOAT_MODE):
+        """The least pairing of x with the dual rays, and its norm."""
+        return self._least_dot(self._dual_int, self._dual_f, x)
 
-    def interior_contains(self, x, mode=FLOAT_MODE):
-        return self._dots(self._dual_int, self._dual_f, x, mode, strict=True)
-
-    def dual_contains(self, y, mode=FLOAT_MODE):
-        return self._dots(self._gens_int, self._gens_f, y, mode, strict=False)
-
-    def interior_dual_contains(self, y, mode=FLOAT_MODE):
-        return self._dots(self._gens_int, self._gens_f, y, mode, strict=True)
+    def dual_slack(self, y, mode=FLOAT_MODE):
+        """The least pairing of y with the extreme rays, and its norm."""
+        return self._least_dot(self._gens_int, self._gens_f, y)
 
     def ray_images(self, matrix) -> RayImages:
         """``D M G^T`` for D the dual rays and G the extreme rays: one
@@ -601,36 +626,37 @@ class TensorCone(Cone):
                 f"{self!r} has no finite exact generator list")
         return self._inner
 
-    def _query(self, name, x, mode, what=None):
-        """Answer the query ``name`` on the inner cone; with PSD operands
-        and a ``what`` to name the query, on the operands for the factors
-        (a, b) or (-a, -b) of a product vector x: a (x) b = (-a) (x) (-b)."""
+    def slack(self, x, mode=FLOAT_MODE):
+        """The inner cone's slack; with PSD operands, for a product vector
+        ``x = a (x) b = (-a) (x) (-b)`` only, the better sign of the worse
+        operand slack, each relative to its operand's scale."""
+        return self._slack("slack", x, mode)
+
+    def dual_slack(self, y, mode=FLOAT_MODE):
+        return self._slack("dual_slack", y, mode)
+
+    def _slack(self, name, x, mode):
         self._check_dim(x)
-        if self._inner is not None or what is None:
-            return getattr(self._finite(), name)(x, mode)
+        if self._inner is not None:
+            return getattr(self._inner, name)(x, mode)
         factors = self._factor(x, mode)
         if factors is None:
             raise UnsupportedConeOperation(
-                f"{what} in a tensor cone with PSD operands is only "
+                "membership in a tensor cone with PSD operands is only "
                 "decidable for product vectors")
-        a, b = factors
-        left, right = getattr(self.left, name), getattr(self.right, name)
-        return ((left(a, mode) and right(b, mode))
-                or (left(-a, mode) and right(-b, mode)))
+        queries = getattr(self.left, name), getattr(self.right, name)
 
-    def contains(self, x, mode=FLOAT_MODE):
-        return self._query("contains", x, mode, "membership")
+        def relative(query, v):
+            lo, scale = query(v, mode)
+            return lo / scale
 
-    def interior_contains(self, x, mode=FLOAT_MODE):
-        return self._query("interior_contains", x, mode,
-                           "interior membership")
+        return max(min(relative(q, sign * v) for q, v in zip(queries, factors))
+                   for sign in (1, -1)), 1.0
 
     def dual_contains(self, y, mode=FLOAT_MODE):
-        return self._query("dual_contains", y, mode)
-
-    def interior_dual_contains(self, y, mode=FLOAT_MODE):
-        return self._query("interior_dual_contains", y, mode,
-                           "dual-interior membership")
+        """Exact or float on a finite inner cone; with PSD operands the
+        dual is not decided, not even for product vectors."""
+        return self._finite().dual_contains(y, mode)
 
     def ray_images(self, matrix) -> RayImages:
         return self._finite().ray_images(matrix)

@@ -219,10 +219,14 @@ def from_stochastic(w) -> DynMap:
 def from_kraus(ops) -> DynMap:
     """Superoperator of rho -> sum_i K_i rho K_i^dag in Hermitian coordinates.
 
-    The resulting matrix is real because conjugation by each Kraus operator
-    preserves Hermiticity.  Trace preservation is not required (stochastic
-    operations are allowed); it can be probed afterwards with
-    :func:`is_dup`.
+    On row-major vectorized matrices the map is the one matrix
+    ``S = sum_i K_i (x) conj(K_i)``; in the orthonormal Hermitian basis it
+    is ``U^dag S U``, for U the matrix whose columns are the vectorized
+    basis matrices.
+    That matrix is real because conjugation by each Kraus operator
+    preserves Hermiticity, so only its real part is kept.  Trace
+    preservation is not required (stochastic operations are allowed); it
+    can be probed afterwards with :func:`is_dup`.
     """
     kraus = [np.asarray(k, dtype=complex) for k in ops]
     if not kraus:
@@ -233,14 +237,14 @@ def from_kraus(ops) -> DynMap:
             raise DimensionMismatchError(
                 f"Kraus operators must all be {h}x{h}, got {k.shape}")
     cone = Psd(h)
-    basis = cone.basis
-    d = cone.dim
-    images = np.zeros((d, h, h), dtype=complex)
-    for k in kraus:
-        kd = k.conj().T
-        for idx in range(d):
-            images[idx] += k @ basis.mats[idx] @ kd
-    matrix = np.einsum("aij,bji->ab", basis.mats, images).real
+    stack = np.array(kraus)
+    s = np.tensordot(stack, stack.conj(), axes=(0, 0)) \
+        .transpose(0, 2, 1, 3).reshape(h * h, h * h)
+    u = cone.basis.flat.T
+    # S U holds the images of the basis matrices; einsum pairs them with
+    # the basis without BLAS's fused multiply-adds, so terms that cancel
+    # exactly (as in a depolarizing channel) leave 0
+    matrix = np.einsum("ia,ib->ab", u.conj(), s @ u).real
     return DynMap(matrix, cone, cone.default_unit(), provenance="kraus",
                   kraus_ops=kraus)
 
@@ -278,17 +282,18 @@ def is_dup(a: DynMap) -> bool:
 
 
 def choi_matrix(a: DynMap) -> np.ndarray:
-    """Choi matrix of a PSD-cone map (h^2 x h^2, Hermitian)."""
+    """Choi matrix of a PSD-cone map (h^2 x h^2, Hermitian).
+
+    ``E_ij`` expands over the Hermitian basis with coefficients
+    ``B_k[j, i]``, so entry ``(ia, jb)`` is ``sum_k B_k[j, i] A(B_k)[a, b]``;
+    the images ``A(B_k)`` of the basis come from one product."""
     if not isinstance(a.cone, Psd):
         raise UnsupportedConeOperation("Choi matrix requires a PSD-cone map")
-    basis = a.cone.basis
+    flat = a.cone.basis.flat
     h = a.cone.h
-    # images of the basis elements under the map, as matrices
-    phi_b = np.array([basis.mat(a.matrix[:, k]) for k in range(a.dim)],
-                     dtype=complex)
-    # E_ij expands over the Hermitian basis with coefficients B_k[j, i]
-    choi = np.einsum("kji,kab->iajb", basis.mats, phi_b).reshape(h * h, h * h)
-    return choi
+    images = a.matrix.T @ flat  # row k: A(B_k), row-major
+    choi = flat.conj().T @ images  # entry (ij, ab)
+    return choi.reshape(h, h, h, h).transpose(0, 2, 1, 3).reshape(h * h, h * h)
 
 
 def _haar_state(rng, h):

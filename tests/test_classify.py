@@ -199,6 +199,25 @@ def test_digraph_edges_follow_columns():
     assert set(g.edges()) == {(0, 1), (0, 2), (1, 0), (2, 3), (3, 0)}
 
 
+def test_digraph_routes_need_positivity_yes():
+    # [[-1]] leaves the orthant; one vertex counts as strongly connected,
+    # so a digraph route would call it irreducible against the interior
+    # pair, which finds no stationary pair
+    for m in ([[-1]], np.array([[-1.0]])):
+        a = from_matrix(m, Orthant(1))
+        report = classify(a)
+        assert report.positivity.value == "no"
+        assert [c for c in report.criteria_fired
+                if c.startswith(("irreducible:", "primitive:"))] == \
+            ["irreducible:interior-pair", "primitive:interior-pair"]
+        assert not [f for f in report.hypothesis_flags
+                    if f.startswith("route-disagreement")]
+        assert not (report.irreducible or report.primitive)
+        assert list(irreducible_routes(a)) == ["interior-pair"]
+        assert list(primitive_routes(a)) == ["interior-pair"]
+    assert "irreducible:digraph" in classify(chain4()).criteria_fired
+
+
 def test_strongly_connected_examples():
     assert strongly_connected(digraph_of(chain4()))
     assert not strongly_connected(digraph_of(shear()))
@@ -211,6 +230,8 @@ def test_period_examples():
     assert period(Digraph(1, ((0,),))) == 1
     with pytest.raises(NotStronglyConnectedError):
         period(digraph_of(shear()))
+    with pytest.raises(NotStronglyConnectedError):  # no cycles at all
+        period(Digraph(1, ((),)))
 
 
 def test_tensor_scc_count_examples():
@@ -629,24 +650,34 @@ def test_simple_peak_near_a_coupled_eigenvalue_is_not_split(gap, coupling):
 # classify decides each fact once
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("make", [
-    chain4,
-    lambda: from_matrix([[2, 1], [1, 1]], Polyhedral([[1, 0], [1, 1]])),
-    lambda: from_matrix(np.array([[2.0, 1.0], [1.0, 1.0]]),
-                        Polyhedral([[1, 0], [1, 1]])),
-], ids=["chain", "wedge-exact", "wedge-float"])
-def test_classify_builds_each_fact_once(monkeypatch, make):
+@pytest.mark.parametrize("make, digraph_facts, max_min_eig", [
+    (chain4, 1, 0),
+    (lambda: from_matrix([[2, 1], [1, 1]], Polyhedral([[1, 0], [1, 1]])),
+     0, 0),
+    (lambda: from_matrix(np.array([[2.0, 1.0], [1.0, 1.0]]),
+                         Polyhedral([[1, 0], [1, 1]])), 0, 0),
+    # the stationary pair's memberships, then one slack per vector
+    (lambda: random_kraus_channel(np.random.default_rng(6), 3), 0, 4),
+], ids=["chain", "wedge-exact", "wedge-float", "kraus"])
+def test_classify_builds_each_fact_once(monkeypatch, make, digraph_facts,
+                                        max_min_eig):
     cl = importlib.import_module("conemix.classify")
+    a = make()
     calls = []
-    for name in ("_stationary", "ergodic_routes", "mixing_routes",
-                 "is_positive"):
-        fn = getattr(cl, name)
-        monkeypatch.setattr(cl, name, lambda *args, _fn=fn, _name=name:
+    for owner, name in ((cl, "_stationary"), (cl, "ergodic_routes"),
+                        (cl, "mixing_routes"), (cl, "is_positive"),
+                        (cl, "_pattern"),
+                        (cl, "strongly_connected_components"),
+                        (Psd, "_min_eig")):
+        fn = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, _fn=fn, _name=name:
                             calls.append(_name) or _fn(*args))
-    report = classify(make())
+    report = classify(a)
     assert report.ergodic and report.primitive
-    assert sorted(calls) == ["_stationary", "ergodic_routes",
-                             "is_positive", "mixing_routes"]
+    assert sorted(c for c in calls if c != "_min_eig") == sorted(
+        ["_stationary", "ergodic_routes", "is_positive", "mixing_routes"]
+        + ["_pattern", "strongly_connected_components"] * digraph_facts)
+    assert calls.count("_min_eig") <= max_min_eig
 
 
 # float maps near the clustering cutoff: eigenvalues 1 and 1 - 2e, so the

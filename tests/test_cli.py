@@ -194,6 +194,20 @@ def test_graph_identity_not_connected(tmp_path, capsys):
     assert out.count("->") == 2  # two self-loops
 
 
+def test_graph_one_loopless_vertex_has_no_period(tmp_path, capsys):
+    # one vertex is strongly connected, but without a cycle there is no
+    # period
+    doc = {"cone": {"type": "orthant", "dim": 1},
+           "map": {"type": "matrix", "data": [[0]]}}
+    path = tmp_path / "loopless.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, "graph", str(path))
+    assert code == 0
+    assert "// strongly_connected: true\n" in out
+    assert "// period: undefined" in out
+    assert "->" not in out
+
+
 def test_graph_swap_period_2(capsys):
     code, out, _ = run_cli(capsys, "graph", str(FIXTURES / "swap_chain.json"))
     assert code == 0

@@ -89,16 +89,47 @@ def test_from_kraus_dimension_mismatch():
         from_kraus([np.eye(2), np.eye(3)])
 
 
+def _kraus_channels(seed):
+    """Random trace-preserving channels for h = 2..6 with 1, 3 and h^2
+    operators."""
+    rng = np.random.default_rng(seed)
+    for h in range(2, 7):
+        for n_ops in (1, 3, h * h):
+            yield h, random_kraus_channel(rng, h, n_ops), rng
+
+
 def test_kraus_superoperator_matches_conjugation():
-    rng = np.random.default_rng(21)
-    for h in (2, 3):
-        a = random_kraus_channel(rng, h)
+    for h, a, rng in _kraus_channels(21):
         basis = a.cone.basis
         for _ in range(5):
             rho = random_hermitian(rng, h)
             direct = sum(k @ rho @ k.conj().T for k in a.kraus_ops)
             via_matrix = basis.mat(a.matrix @ basis.vec(rho))
-            np.testing.assert_allclose(via_matrix, direct, atol=1e-12)
+            np.testing.assert_allclose(via_matrix, direct, rtol=0,
+                                       atol=1e-12)
+
+
+def test_choi_matrix_matches_loop_reference():
+    # Choi = sum_ij E_ij (x) A(E_ij), each block by conjugation
+    for h, a, _ in _kraus_channels(41):
+        reference = np.zeros((h * h, h * h), dtype=complex)
+        for i in range(h):
+            for j in range(h):
+                e = np.zeros((h, h))
+                e[i, j] = 1.0
+                block = sum(k @ e @ k.conj().T for k in a.kraus_ops)
+                reference[i * h:(i + 1) * h, j * h:(j + 1) * h] = block
+        np.testing.assert_allclose(choi_matrix(a), reference, rtol=0,
+                                   atol=1e-12)
+
+
+def test_psd_cones_share_one_read_only_basis():
+    basis = Psd(3).basis
+    assert Psd(3).basis is basis and from_kraus([np.eye(3)]).cone.basis \
+        is basis
+    for array in (basis.mats, basis.flat):
+        with pytest.raises(ValueError):
+            array[0, 0] = 0
 
 
 def test_adjoint_is_transpose():

@@ -21,7 +21,7 @@ from conemix import FLOAT_MODE, NotErgodicError, UnsupportedConeOperation, \
     ZeroSpectralRadiusError, adjoint, from_matrix, is_positive
 from conemix.cli import load_problem
 from conemix.cones import is_classical
-from conemix.classify import _interior_pair_route, _stationary, \
+from conemix.classify import _interior_pair, _stationary, \
     _stationary_or_error, irreducible_routes, primitive_routes
 from helpers import _binomial_power_route, _reachability_route, \
     generator_route_references, reference_generator_routes_exact, \
@@ -98,8 +98,8 @@ def test_interior_pair_route_matches_reference():
             a.spectrum.positive_r()
         except ZeroSpectralRadiusError:
             continue
-        ours = _interior_pair_route(
-            a, True, _stationary_or_error(a, FLOAT_MODE), FLOAT_MODE)
+        ours, _ = _interior_pair(
+            a, _stationary_or_error(a, FLOAT_MODE), FLOAT_MODE)
         ref = reference_interior_pair(a, FLOAT_MODE)
         assert (ours.value, ours.exact, ours.marginal) == \
             (ref.value, ref.exact, ref.marginal), name
