@@ -222,9 +222,8 @@ def from_kraus(ops) -> DynMap:
     On row-major vectorized matrices the map is the one matrix
     ``S = sum_i K_i (x) conj(K_i)``; in the orthonormal Hermitian basis it
     is ``U^dag S U``, for U the matrix whose columns are the vectorized
-    basis matrices.
-    That matrix is real because conjugation by each Kraus operator
-    preserves Hermiticity, so only its real part is kept.  Trace
+    basis matrices.  That matrix is real because conjugation by each Kraus
+    operator preserves Hermiticity, so only its real part is kept.  Trace
     preservation is not required (stochastic operations are allowed); it
     can be probed afterwards with :func:`is_dup`.
     """
