@@ -407,9 +407,9 @@ def _interior_pair(a: DynMap, pair, mode: ScalarMode) -> tuple:
 
     The cone's ``slack`` of x and ``dual_slack`` of y (see
     :meth:`~conemix.cones.Cone.slack`) are computed once and compared at
-    each probe tolerance; a slack the cone cannot compute is None.  The
-    route is skipped when a comparison needs such a slack, and False
-    without a pair, whose dual slack is None too."""
+    each probe tolerance; a slack the cone cannot compute is None, and
+    the route is then skipped.  Without a pair the route is False and the
+    dual slack None."""
     if isinstance(pair, NotErgodicError):
         return Route(False, a.integer is not None), None
     slacks = []
@@ -418,18 +418,11 @@ def _interior_pair(a: DynMap, pair, mode: ScalarMode) -> tuple:
             slacks.append(query(v, mode))
         except UnsupportedConeOperation:
             slacks.append(None)
-
-    def interior(slack, m):
-        if slack is None:
-            raise UnsupportedConeOperation("interior membership undecided")
-        return member(slack, m, interior=True)
-
     xs, ys = slacks
-    try:
-        route = _margin_probe(
-            lambda m: interior(xs, m) and interior(ys, m), mode, pair.exact)
-    except UnsupportedConeOperation:
-        route = Route(False, False, skipped=True)
+    if xs is None or ys is None:
+        return Route(False, False, skipped=True), ys
+    route = _margin_probe(lambda m: member(xs, m, interior=True)
+                          and member(ys, m, interior=True), mode, pair.exact)
     return route, ys
 
 
