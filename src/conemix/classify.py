@@ -6,10 +6,10 @@ Each verdict has independent routes that are cross-checked:
 * ergodic -- algebraic multiplicity of the spectral radius (exact when the
   radius is rational), the fixed-space dimension (exact, for maps whose
   adjoint fixes the unit), and float eigenvalue clustering;
-* mixing -- kernel of ``A (x) A - r^2 I`` (exact), geometric multiplicity
-  of ``r^2`` on the Kronecker square (float, counted from the products of
-  A's eigenvalues), and the spectral-gap condition computed from the full
-  eigenvalue list;
+* mixing -- kernel of ``A (x) A - r^2 I`` (exact), and in float the
+  spectral gap: r an algebraically simple eigenvalue and the only one of
+  modulus r, the same condition read off A's own peripheral spectrum
+  (Horn & Johnson, *Topics in Matrix Analysis*, ch. 4);
 * irreducible -- interior stationary pair (the definition); for maps
   whose positivity is ``yes``: on polyhedral and finite tensor cones, no
   invariant face but 0 and K, read off the face map of one integer sign
@@ -371,10 +371,13 @@ def mixing_routes(a: DynMap, mode: ScalarMode = FLOAT_MODE) -> dict:
     """Every applicable mixing criterion, evaluated independently.
 
     Keys: ``kron-fixed-space-dim`` (exact kernel of the Kronecker square
-    minus r^2), ``kron-geometric`` (float), ``spectral-gap`` (float oracle
-    from the full eigenvalue list).  Like the exact route, which needs r
-    verified as an eigenvalue, both float routes require r itself among
-    the eigenvalues, not only an eigenvalue of modulus r.
+    minus r^2, the paper's criterion) and ``spectral-gap`` (float: r an
+    algebraically simple eigenvalue, and no other eigenvalue of modulus
+    r).  For a radius that is an eigenvalue the two decide the same
+    predicate (Horn & Johnson, *Topics in Matrix Analysis*, ch. 4), so a
+    float map has this one route.  Like the exact route, which needs r
+    verified as an eigenvalue, the float route requires r itself among the
+    eigenvalues, not only an eigenvalue of modulus r.
     """
     spec = a.spectrum
     r = spec.positive_r()
@@ -382,9 +385,6 @@ def mixing_routes(a: DynMap, mode: ScalarMode = FLOAT_MODE) -> dict:
     if spec.r_exact is not None:
         routes["kron-fixed-space-dim"] = Route(
             spec.kron_r2_pair.geometric == 1, True)
-    routes["kron-geometric"] = _margin_probe(
-        lambda m: spec.peak_pair(m).algebraic >= 1
-        and spec.kron_peak_pair(m).geometric == 1, mode)
     moduli = np.abs(spec.eigenvalues) / r
     routes["spectral-gap"] = _margin_probe(
         lambda m: spec.peak_pair(m).algebraic == 1
@@ -623,7 +623,11 @@ def is_primitive(a: DynMap, mode: ScalarMode = FLOAT_MODE) -> bool:
 
 @dataclass
 class ClassificationReport:
-    """All verdicts, witnesses, and the criteria that produced them."""
+    """All verdicts, witnesses, and the criteria that produced them.
+
+    ``multiplicity_r2_kron`` is the exact pair of r^2 on ``A (x) A``; it is
+    None without a verified rational radius, and (0, 0) at radius zero.
+    """
 
     r: float
     ergodic: bool
@@ -633,7 +637,7 @@ class ClassificationReport:
     dup: bool
     positivity: PositivityVerdict
     multiplicity_r: MultiplicityPair
-    multiplicity_r2_kron: MultiplicityPair
+    multiplicity_r2_kron: MultiplicityPair | None
     stationary: np.ndarray | None = None
     dual_stationary: np.ndarray | None = None
     pairing: float | None = None
@@ -689,7 +693,8 @@ def classify(a: DynMap, mode: ScalarMode = FLOAT_MODE) -> ClassificationReport:
         if mult_r.algebraic >= 2:
             gap_ratio = 1.0
     else:
-        mult_r, mult_r2 = spec.peak_pair(mode), spec.kron_peak_pair(mode)
+        # no float count of the square: spectral-gap decides mixing
+        mult_r, mult_r2 = spec.peak_pair(mode), None
 
     ergodic_family = ergodic_routes(a, mode)
     mixing_family = mixing_routes(a, mode)

@@ -360,6 +360,11 @@ def _vec_or_null(v):
     return None if v is None else [float(x) for x in v]
 
 
+def _pair_or_null(p):
+    return None if p is None else {"geometric": p.geometric,
+                                   "algebraic": p.algebraic}
+
+
 def report_to_dict(report, mode: ScalarMode, timings=None):
     return {
         "tool": {"name": "conemix", "version": __version__},
@@ -372,11 +377,8 @@ def report_to_dict(report, mode: ScalarMode, timings=None):
         "dup": report.dup,
         "positivity": {"value": report.positivity.value,
                        "certificate": report.positivity.certificate},
-        "multiplicity_r": {"geometric": report.multiplicity_r.geometric,
-                           "algebraic": report.multiplicity_r.algebraic},
-        "multiplicity_r2_kron": {
-            "geometric": report.multiplicity_r2_kron.geometric,
-            "algebraic": report.multiplicity_r2_kron.algebraic},
+        "multiplicity_r": _pair_or_null(report.multiplicity_r),
+        "multiplicity_r2_kron": _pair_or_null(report.multiplicity_r2_kron),
         "stationary": _vec_or_null(report.stationary),
         "dual_stationary": _vec_or_null(report.dual_stationary),
         "pairing": report.pairing,

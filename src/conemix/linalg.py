@@ -19,14 +19,15 @@ runs on it only when that certificate fails.
 :class:`Spectrum` owns every spectral fact of one map, float (eigenvalues,
 singular values, peak counts) and exact (the kernel chain at the radius,
 the certified pair at r^2 on the square), and decides when the radius
-counts as zero.  The float facts of the Kronecker square come from d x d
-objects only: the products of A's eigenvalues and the rank profiles of
-shifts of A at its peripheral eigenvalue clusters.
+counts as zero.  No float fact of the Kronecker square is computed: for
+a radius r that is an eigenvalue, ``dim ker(A (x) A - r^2 I) = 1``
+exactly when r is algebraically simple and no other eigenvalue has
+modulus r (Horn & Johnson, *Topics in Matrix Analysis*, ch. 4), which
+the float peak and moduli of A decide.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -385,43 +386,18 @@ def _float_pair(algebraic: int, sv: np.ndarray, scale: float,
     return MultiplicityPair(max(1, min(geometric, algebraic)), algebraic)
 
 
-def _offsets(ev: np.ndarray) -> np.ndarray:
-    """``|lam_i lam_j - 1|`` over the eigenvalues ``ev``."""
-    return np.abs(np.multiply.outer(ev, ev) - 1.0)
-
-
-def _gaps(ev: np.ndarray) -> np.ndarray:
-    """``|lam_i - lam_j|`` over the eigenvalues ``ev``."""
-    return np.abs(ev[:, None] - ev[None, :])
-
-
-def _cluster_labels(close: np.ndarray) -> np.ndarray:
-    """For each index, the first index of its connected component in the
-    symmetric relation ``close``: the transitive closure, by squaring the
-    adjacency matrix until it stops growing."""
-    while True:
-        grown = (close.astype(float) @ close) > 0
-        if np.array_equal(grown, close):
-            return np.argmax(close, axis=1)
-        close = grown
-
-
 class Spectrum:
     """Spectral facts of one square matrix, each computed on first use.
 
     No fact depends on a :class:`ScalarMode`: readers compare these numbers
-    against their own tolerances.  The ``kron`` facts belong to the
-    normalized Kronecker square ``A (x) A / r^2``, which is never formed in
-    float: its eigenvalues are the products of A's, and its geometric
-    multiplicity at 1 follows from the Jordan structure of A at the
-    eigenvalue clusters whose products reach 1.  The singular values of the
-    powers of ``A/r - lam I`` at those clusters are cached per cluster, and
-    only clusters of two or more eigenvalues need them.  A Jordan block at
-    r that rounding split past ``eps_cluster`` counts as one eigenvalue of
-    its cluster's size (``_split_peak``).  The exact facts read
-    ``integer``, the map as ``N / D`` (None for a float map), through
-    ``_primitive_form``: ``chain_r`` is an exact kernel chain (see
-    ``_kernel_chain``), empty without a verified rational radius;
+    against their own tolerances, and ``peak_pair`` keeps one comparison per
+    mode.  The float peak is the eigenvalues of A/r near 1; a Jordan block
+    at r that rounding split past ``eps_cluster`` counts as one eigenvalue
+    of its cluster's size (``_split_peak``), read off the singular values of
+    the powers of ``A/r - lam I`` at the cluster mean, computed once.  The
+    exact facts read ``integer``, the map as ``N / D`` (None for a float
+    map), through ``_primitive_form``: ``chain_r`` is an exact kernel chain
+    (see ``_kernel_chain``), empty without a verified rational radius;
     ``kron_r2_pair`` is certified modulo a prime, with the exact kernel
     chain of the square as the fallback.
     """
@@ -430,8 +406,8 @@ class Spectrum:
                  integer: IntegerMatrix | None = None):
         self.matrix = matrix
         self.integer = integer
-        self._cluster_sv = {}
-        self._split_peaks = {}
+        self._split_sv = []
+        self._peak_pairs = {}
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
@@ -465,145 +441,77 @@ class Spectrum:
                              compute_uv=False)
 
     def peak_pair(self, mode: ScalarMode) -> MultiplicityPair:
-        """Float multiplicities of r at mode's tolerances: algebraic, the
-        eigenvalues within ``eps_cluster`` of r; geometric, ``_float_pair``
-        of the singular values of ``A/r - I``.  They are computed only when
-        the algebraic count is 2 or more, since the clamp fixes a count of
-        0 or 1.  A split Jordan block at r (see ``_split_peak``) counts
-        instead as its cluster: algebraic, the cluster's size; geometric,
-        the first entry of its rank profile."""
-        split = self._split_peak(mode)
-        if split is not None:
-            members, profile = split
-            return MultiplicityPair(profile[0], len(members))
-        algebraic = int(np.count_nonzero(
-            np.abs(self.eigenvalues / self.r - 1.0) <= mode.eps_cluster))
-        if algebraic <= 1:
-            return MultiplicityPair(algebraic, algebraic)
-        return _float_pair(algebraic, self._shift_sv,
-                           self.norm2 / self.r + 1.0, mode)
+        """Float multiplicities of r at mode's tolerances, decided once per
+        mode: algebraic, the eigenvalues within ``eps_cluster`` of r;
+        geometric, ``_float_pair`` of the singular values of ``A/r - I``.
+        They are computed only when the algebraic count is 2 or more, since
+        the clamp fixes a count of 0 or 1.  A split Jordan block at r (see
+        ``_split_peak``) counts instead as its cluster."""
+        if mode not in self._peak_pairs:
+            pair = self._split_peak(mode)
+            if pair is None:
+                algebraic = int(np.count_nonzero(
+                    np.abs(self.eigenvalues / self.r - 1.0)
+                    <= mode.eps_cluster))
+                pair = MultiplicityPair(algebraic, algebraic) \
+                    if algebraic <= 1 else _float_pair(
+                        algebraic, self._shift_sv, self.norm2 / self.r + 1.0,
+                        mode)
+            self._peak_pairs[mode] = pair
+        return self._peak_pairs[mode]
 
-    def _split_peak(self, mode: ScalarMode):
-        """``(members, profile)`` when the eigenvalues of A/r within
+    def _split_peak(self, mode: ScalarMode) -> MultiplicityPair | None:
+        """The multiplicities of r when the eigenvalues of A/r within
         ``SPLIT_WINDOW`` of 1 are numerically one defective eigenvalue that
-        rounding split past ``eps_cluster``, else None.  The cluster counts
-        as one eigenvalue when some member lies beyond ``eps_cluster``
-        (else the plain count sees them all), its rank profile at
-        ``eps_rank`` cutoffs, at the cluster mean, covers all of them with
-        a largest block of size k >= 2, and no member is farther from the
-        mean than rounding can split such a block: a backward error of
-        ``d u ||A||`` (u the unit roundoff) moves the eigenvalues of a
-        block of size k whose coupling is at most ``||A||/r + 1`` by at
+        rounding split past ``eps_cluster``, else None: algebraic, the
+        cluster's size; geometric, the first entry of its rank profile.
+        The cluster counts as one eigenvalue when some member lies beyond
+        ``eps_cluster`` (else the plain count sees them all), its rank
+        profile at ``eps_rank`` cutoffs, at the cluster mean, covers all of
+        them with a largest block of size k >= 2, and no member is farther
+        from the mean than rounding can split such a block: a backward
+        error of ``d u ||A||`` (u the unit roundoff) moves the eigenvalues
+        of a block of size k whose coupling is at most ``||A||/r + 1`` by at
         most ``(d u)^(1/k) (||A||/r + 1)``.  ``eps_rank`` and not
         ``eps_cluster`` cutoffs: a semisimple pair a few ``eps_cluster``
         apart must stay two eigenvalues; the rounding bound: a simple r
         next to a distinct eigenvalue coupled to it, such as
         ``[[1, 1], [0, 1 - 1e-5]]``, passes the rank profile at
         ``eps_rank`` but must stay simple."""
-        if mode not in self._split_peaks:
-            found = None
-            ev = self.eigenvalues / self.r
-            offsets = np.abs(ev - 1.0)
-            members = np.flatnonzero(offsets <= SPLIT_WINDOW)
-            if len(members) >= 2 and \
-                    np.any(offsets[members] > mode.eps_cluster):
-                profile = self._rank_profile(members, mode.eps_rank)
-                if len(profile) >= 2 and sum(profile) == len(members):
-                    spread = np.max(np.abs(ev[members] - ev[members].mean()))
-                    rounding = (len(ev) * np.finfo(float).eps) \
-                        ** (1.0 / len(profile)) * (self.norm2 / self.r + 1.0)
-                    if spread <= rounding:
-                        found = (members, profile)
-            self._split_peaks[mode] = found
-        return self._split_peaks[mode]
-
-    def kron_peak_pair(self, mode: ScalarMode) -> MultiplicityPair:
-        """Float multiplicities of r^2 on the Kronecker square, from d x d
-        objects only.
-
-        Its eigenvalues are the d^2 products of A's, and the algebraic count
-        is the products within ``eps_cluster`` of r^2.  For the geometric
-        count, the eigenvalues of A/r are grouped into clusters (connected
-        at distance ``eps_cluster``), and the clusters holding a factor of
-        such a product are kept.  A cluster keeps every eigenvalue near it,
-        because rounding splits a defective eigenvalue into several, and
-        a split partner whose products miss ``eps_cluster`` still belongs to
-        its Jordan block.  A pair of Jordan blocks ``J_p(lam)``, ``J_q(mu)``
-        gives ``min(p, q)`` blocks at ``lam mu`` (Horn & Johnson, *Topics in
-        Matrix Analysis*, ch. 4), so two clusters with a product near 1 add
-        ``sum_k n_k(C) n_k(C')``, for ``n_k`` the rank profile of
-        ``_rank_profile``.  When both are numerically semisimple (profile
-        ``[|C|]``), the products of the algebraic count that are also within
-        ``eps_rank ((||A||/r)^2 + 1)`` of 1 are counted instead: the cutoff
-        of the singular values of the square, which for a normal A are
-        exactly those offsets.  The count is clamped to ``[1, algebraic]``
-        and taken only when the algebraic count is 2 or more.  A split
-        Jordan block at r (``_split_peak``) is r itself: its members read
-        as exactly 1 and form one cluster with the block's rank profile.
-        """
-        split = self._split_peak(mode)
-        if split is None:
-            offsets, gaps = self._kron_offsets, self._eigen_gaps
-        else:
-            ev = self.eigenvalues / self.r
-            ev[split[0]] = 1.0
-            offsets, gaps = _offsets(ev), _gaps(ev)
-        near = offsets <= mode.eps_cluster
-        algebraic = int(np.count_nonzero(near))
-        if algebraic <= 1:
-            return MultiplicityPair(algebraic, algebraic)
-        label = _cluster_labels(gaps <= mode.eps_cluster)
-        sizes = np.bincount(label)
-        kept = np.flatnonzero(np.bincount(label[near.any(axis=1)],
-                                          minlength=len(label)))
-        semisimple = np.ones(len(label), dtype=bool)
-        defective = {}
-        for c in kept[sizes[kept] > 1]:
-            members = np.flatnonzero(label == c)
-            if split is not None and np.array_equal(members, split[0]):
-                profile = split[1]
-            else:
-                profile = self._rank_profile(members, mode.eps_cluster)
-            if profile != [len(members)]:
-                semisimple[members] = False
-                defective[c] = profile
-        cutoff = mode.eps_rank * ((self.norm2 / self.r) ** 2 + 1.0)
-        geometric = int(np.count_nonzero(
-            near & (offsets <= cutoff)
-            & np.multiply.outer(semisimple, semisimple)))
-        if defective:
-            profiles = {c: defective.get(c, [sizes[c]]) for c in kept}
-            for c, c2 in itertools.product(kept, repeat=2):
-                if (c in defective or c2 in defective) \
-                        and near[np.ix_(label == c, label == c2)].any():
-                    geometric += sum(x * y for x, y in zip(profiles[c],
-                                                           profiles[c2]))
-        return MultiplicityPair(max(1, min(geometric, algebraic)), algebraic)
+        ev = self.eigenvalues / self.r
+        offsets = np.abs(ev - 1.0)
+        members = self._split_members
+        if len(members) < 2 or not np.any(offsets[members] > mode.eps_cluster):
+            return None
+        profile = self._rank_profile(mode.eps_rank)
+        if len(profile) < 2 or sum(profile) != len(members):
+            return None
+        spread = np.max(np.abs(ev[members] - ev[members].mean()))
+        rounding = (len(ev) * np.finfo(float).eps) ** (1.0 / len(profile)) \
+            * (self.norm2 / self.r + 1.0)
+        return MultiplicityPair(profile[0], len(members)) \
+            if spread <= rounding else None
 
     @cached_property
-    def _kron_offsets(self) -> np.ndarray:
-        """``|lam_i lam_j - 1|`` over the eigenvalues of A/r."""
-        return _offsets(self.eigenvalues / self.r)
+    def _split_members(self) -> np.ndarray:
+        """Indices of the eigenvalues of A/r within ``SPLIT_WINDOW`` of 1,
+        the cluster that ``_split_peak`` reads."""
+        return np.flatnonzero(
+            np.abs(self.eigenvalues / self.r - 1.0) <= SPLIT_WINDOW)
 
-    @cached_property
-    def _eigen_gaps(self) -> np.ndarray:
-        """``|lam_i - lam_j|`` over the eigenvalues of A/r."""
-        return _gaps(self.eigenvalues / self.r)
-
-    def _rank_profile(self, members: np.ndarray, eps: float) -> list:
-        """``[n_1, n_2, ...]`` for the cluster of eigenvalues ``members`` of
-        A/r: ``n_k = dim ker B^k - dim ker B^(k-1)`` is the number of its
-        Jordan blocks of size k or more, for ``B = A/r - lam I`` and lam the
+    def _rank_profile(self, eps: float) -> list:
+        """``[n_1, n_2, ...]`` for the cluster ``_split_members``:
+        ``n_k = dim ker B^k - dim ker B^(k-1)`` is the number of its Jordan
+        blocks of size k or more, for ``B = A/r - lam I`` and lam the
         cluster mean.  ``dim ker B^k`` counts the singular values of B^k at
         most ``eps (||A||/r + 1)^k``, up to the cluster size; the profile
         stops when it stops growing."""
-        size = len(members)
+        size = len(self._split_members)
         scale = self.norm2 / self.r + 1.0
         profile, dim = [], 0
         for k in range(1, size + 1):
-            sv = self._power_sv(tuple(members), k)
             grown = min(size, int(np.count_nonzero(
-                sv <= eps * scale ** k)))
+                self._power_sv(k) <= eps * scale ** k)))
             if grown <= dim:
                 break
             profile.append(grown - dim)
@@ -612,13 +520,13 @@ class Spectrum:
                 break
         return profile
 
-    def _power_sv(self, members: tuple, k: int) -> np.ndarray:
+    def _power_sv(self, k: int) -> np.ndarray:
         """Singular values of ``B^k`` for ``B = A/r - lam I``, lam the mean of
-        the eigenvalues ``members`` of A/r; cached per cluster, so every
-        tolerance probe reads one set of SVDs."""
-        svs = self._cluster_sv.setdefault(members, [])
+        the cluster ``_split_members``; cached, so every tolerance probe
+        reads one set of SVDs."""
+        svs = self._split_sv
         if len(svs) < k:
-            lam = np.mean(self.eigenvalues[list(members)]) / self.r
+            lam = np.mean(self.eigenvalues[self._split_members]) / self.r
             b = self.matrix / self.r - lam * np.eye(len(self.matrix))
             power = np.linalg.matrix_power(b, len(svs) + 1)
             while True:

@@ -206,11 +206,6 @@ def reference_kron_square(matrix):
     return pair
 
 
-def reference_kron_peak_pair(matrix, mode):
-    """``reference_kron_square`` at one mode."""
-    return reference_kron_square(matrix)(mode)
-
-
 def random_exact_chain(rng, d, kind):
     """Exact column-stochastic rows with the digraph of ``random_chain``:
     weights 1 or 2 on its support, normalized per column."""

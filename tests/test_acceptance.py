@@ -154,10 +154,9 @@ def _route_agreement(a, kron_cone):
     if "fixed-space-dim" in erg and \
             erg["fixed-space-dim"].value != erg["algebraic-multiplicity"].value:
         disagreements.append("ergodic")
+    # kron-fixed-space-dim (exact radius only) and spectral-gap
     mix = mixing_routes(a)
-    mix_names = [n for n in ("kron-fixed-space-dim", "kron-geometric",
-                             "spectral-gap") if n in mix]
-    if len({mix[n].value for n in mix_names}) > 1:
+    if len({r.value for r in mix.values()}) > 1:
         disagreements.append("mixing")
     irr = irreducible_routes(a)
     if len({r.value for r in irr.values()}) > 1:

@@ -36,6 +36,7 @@ from conemix import (
 from conemix.classify import irreducible_routes, mixing_routes, \
     primitive_routes
 from conemix.cli import load_problem
+from conemix.linalg import Spectrum
 from helpers import random_dense_stochastic, random_exact_chain, \
     random_kraus_channel, random_stochastic_map, route_corpus, \
     tensor_product_digraph, tensor_scc_count
@@ -359,7 +360,7 @@ def test_peak_other_than_r_is_not_mixing(rows, exact):
     data = rows if exact else np.array(rows, dtype=float)
     a = from_matrix(data, Orthant(len(rows)))
     routes = mixing_routes(a)
-    assert not routes["kron-geometric"]
+    assert list(routes) == ["spectral-gap"]
     assert not routes["spectral-gap"]
     rep = classify(a)
     assert not rep.ergodic and not rep.mixing
@@ -543,8 +544,7 @@ def test_dense_random_chains_are_primitive():
 
 def test_mixing_routes_all_present_for_exact_dup():
     routes = mixing_routes(chain4())
-    assert set(routes) == {"kron-fixed-space-dim", "kron-geometric",
-                           "spectral-gap"}
+    assert set(routes) == {"kron-fixed-space-dim", "spectral-gap"}
     assert all(r.value for r in routes.values())
 
 
@@ -604,12 +604,14 @@ def test_split_jordan_block_at_r_verdicts_agree(matrix, points):
 
 def test_split_jordan_block_multiplicities():
     # eigenvalue 1 with one 2x2 Jordan block: algebraic 4, geometric 3;
-    # LAPACK gives 1 +- 5.1e-7, 1, 1
-    for m in (SPLIT_PEAK_MAP, np.array(SPLIT_PEAK_MAP, dtype=float)):
+    # LAPACK gives 1 +- 5.1e-7, 1, 1.  Only the exact map has a pair on
+    # the Kronecker square.
+    for m, kron in ((SPLIT_PEAK_MAP, (10, 16)),
+                    (np.array(SPLIT_PEAK_MAP, dtype=float), None)):
         a = from_matrix(m, Orthant(4))
         report = classify(a)
         assert report.multiplicity_r == (3, 4)
-        assert report.multiplicity_r2_kron == (10, 16)
+        assert report.multiplicity_r2_kron == kron
         assert not report.ergodic and not report.mixing
     assert from_matrix(SPLIT_PEAK_MAP, Orthant(4)).spectrum.r_exact == 1
 
@@ -680,18 +682,34 @@ def test_classify_builds_each_fact_once(monkeypatch, make, digraph_facts,
     assert calls.count("_min_eig") <= max_min_eig
 
 
+@pytest.mark.parametrize("make", [
+    lambda: random_dense_stochastic(np.random.default_rng(7), 6),
+    lambda: random_kraus_channel(np.random.default_rng(8), 3),
+    # a Jordan block at r that rounding splits: the cluster is read
+    lambda: from_matrix(np.array(SPLIT_PEAK_MAP, dtype=float), Orthant(4)),
+], ids=["chain", "kraus", "split-peak"])
+def test_float_report_decides_each_peak_once(monkeypatch, make):
+    # the working tolerance and its 0.1x and 10x probes: one peak each
+    a = make()
+    modes = []
+    split = Spectrum._split_peak
+    monkeypatch.setattr(Spectrum, "_split_peak",
+                        lambda self, mode: modes.append(mode)
+                        or split(self, mode))
+    classify(a)
+    assert len(modes) == len(set(modes)) == 3
+
+
 # float maps near the clustering cutoff: eigenvalues 1 and 1 - 2e, so the
 # eps_cluster = 1e-7 probes at 1e-8, 1e-7 and 1e-6 straddle the gap
 NEAR_IDENTITY_FLAGS = {
     3e-8: (False, [
         "tolerance-marginal:ergodic:eigenvalue-cluster",
         "tolerance-marginal:mixing:spectral-gap",
-        "route-disagreement:mixing:kron-geometric=True,spectral-gap=False",
         "route-disagreement:irreducible:digraph=True,interior-pair=False",
-        "lattice-correction:mixing-without-ergodic",
-        "lattice-correction:primitive-needs-mixing-irreducible"]),
+        "route-disagreement:primitive:aperiodic=True,interior-pair=False,"
+        "kron-digraph=True"]),
     1e-9: (False, [
-        "tolerance-marginal:mixing:kron-geometric",
         "route-disagreement:irreducible:digraph=True,interior-pair=False",
         "route-disagreement:primitive:aperiodic=True,interior-pair=False,"
         "kron-digraph=True",
@@ -798,13 +816,11 @@ def _exact_maps():
 
 def _scale_free_flags(report) -> list:
     """The flags, less what a rescaling changes: ``non-dup`` and the
-    ``fixed-space-dim`` route read whether the adjoint fixes the unit, two
-    messages quote a value of the map, and a ``tolerance-marginal`` float
-    route sits within 10x of its cutoff, where rounding the rescaled float
-    matrix differently can move it across."""
+    ``fixed-space-dim`` route read whether the adjoint fixes the unit, and
+    two messages quote a value of the map."""
     flags = []
     for f in report.hypothesis_flags:
-        if f != "non-dup" and not f.startswith("tolerance-marginal:"):
+        if f != "non-dup":
             f = re.sub(r",?fixed-space-dim=\w+", "", f)
             flags.append(re.sub(r"= \S+ is negative|eigenvalue \S+ has", "",
                                 f))

@@ -11,7 +11,8 @@ import pytest
 from conemix.cli import load_problem, main, problem_to_dict, report_to_dict
 from conemix.classify import classify
 from conemix.linalg import FLOAT, FLOAT_MODE, RATIONAL
-from helpers import random_dense_stochastic, random_kraus_channel
+from helpers import random_dense_stochastic, random_kraus_channel, \
+    reference_kron_r2_pair
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -317,6 +318,27 @@ def test_report_to_dict_shape():
                         "gap_ratio", "criteria_fired", "hypothesis_flags",
                         "timings"}
     assert isinstance(doc["hypothesis_flags"], list)
+
+
+def test_kron_pair_is_null_without_a_verified_radius(capsys):
+    # only an exact radius has a pair on the Kronecker square; a float
+    # report decides mixing from A's own peripheral spectrum
+    code, out, _ = run_cli(capsys, "classify",
+                           str(FIXTURES / "depolarizing_qubit.json"))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["mode"] == "float" and doc["multiplicity_r2_kron"] is None
+    kept = 0
+    for path in sorted(FIXTURES.glob("*.json")):
+        dyn, mode = load_problem(str(path))
+        if dyn.integer is None or dyn.spectrum.r_exact is None:
+            continue
+        code, out, _ = run_cli(capsys, "classify", str(path))
+        pair = reference_kron_r2_pair(dyn)
+        assert json.loads(out)["multiplicity_r2_kron"] == {
+            "geometric": pair.geometric, "algebraic": pair.algebraic}, path
+        kept += 1
+    assert kept == 8
 
 
 NILPOTENT = {"cone": {"type": "orthant", "dim": 2},

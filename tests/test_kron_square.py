@@ -1,11 +1,10 @@
 """The Kronecker-square facts against full-square references.
 
-``Spectrum.kron_peak_pair`` counts eigenvalues of ``A (x) A`` from the
-products of A's and its geometric multiplicity from the rank profiles of
-d x d shifts of A, never forming the d^2 x d^2 square; the
-``kron-digraph`` primitivity route is Wielandt's boolean power test.  Both
-are checked here against the full-square eigenvalues and SVD and against
-Tarjan on the product digraph (``tests/helpers.py``).
+The float ``spectral-gap`` mixing route reads A's own peripheral spectrum
+and never forms the d^2 x d^2 square; the ``kron-digraph`` primitivity
+route is Wielandt's boolean power test.  Both are checked here against
+the full-square eigenvalues and SVD and against Tarjan on the product
+digraph (``tests/helpers.py``).
 ``Spectrum.kron_r2_pair`` certifies the exact pair modulo a prime and runs
 the exact kernel chain of the square only when the certificate fails; it
 is checked against that chain on every map.
@@ -19,7 +18,8 @@ import pytest
 import conemix.linalg as la
 from conemix import Orthant, Polyhedral, ZeroSpectralRadiusError, classify, \
     from_matrix, from_stochastic
-from conemix.classify import _wielandt_primitive, primitive_routes
+from conemix.classify import _wielandt_primitive, ergodic_routes, \
+    mixing_routes, primitive_routes
 from conemix.linalg import FLOAT_MODE, MultiplicityPair
 from helpers import (
     CHAIN_KINDS,
@@ -29,7 +29,6 @@ from helpers import (
     random_kraus_channel,
     random_stochastic_exact,
     reference_kron_digraph_connected,
-    reference_kron_peak_pair,
     reference_kron_r2_pair,
     reference_kron_square,
     route_corpus,
@@ -55,24 +54,6 @@ def kraus_corpus():
     for h in (2, 3):
         for n_ops in range(1, h * h + 1):
             yield f"kraus:{h}:{n_ops}", random_kraus_channel(rng, h, n_ops)
-
-
-def near_identity_corpus():
-    # the chains of test_tolerance_marginal_flags_near_identity
-    for e in (3e-8, 1e-9, 2e-7, 1e-3):
-        yield f"near:{e}", from_stochastic([[1 - e, e], [e, 1 - e]])
-
-
-def test_kron_peak_pair_matches_full_square():
-    checked = 0
-    for corpus in (float_chain_corpus, kraus_corpus, near_identity_corpus):
-        for name, a in corpus():
-            for factor in SCALES:
-                mode = FLOAT_MODE.scaled(factor)
-                assert a.spectrum.kron_peak_pair(mode) == \
-                    reference_kron_peak_pair(a.matrix, mode), (name, factor)
-                checked += 1
-    assert checked >= 3 * (200 + 13 + 4)
 
 
 def larger_float_chain_corpus():
@@ -101,21 +82,31 @@ def near_tie_corpus():
         yield f"near-tie:{e}", from_stochastic(m)
 
 
-def test_kron_peak_pair_matches_full_square_on_repeated_peaks():
-    # r^2 is a repeated eigenvalue of the square of every one of these
-    # maps, so the geometric count always runs
+def test_spectral_gap_matches_full_square():
+    # for a radius that is an eigenvalue, dim ker(A (x) A - r^2 I) = 1
+    # exactly when r is algebraically simple and the only eigenvalue of
+    # modulus r, so the spectral-gap route decides the paper's criterion.
+    # (The near-identity chains are left out: their gaps lie within 0.1x
+    # to 10x eps_cluster, where the two float counts can part, and
+    # test_tolerance_marginal_flags_near_identity flags them.)
     checked = repeated = 0
-    for corpus in (larger_float_chain_corpus, unitary_channel_corpus,
+    for corpus in (float_chain_corpus, kraus_corpus,
+                   larger_float_chain_corpus, unitary_channel_corpus,
                    near_tie_corpus):
         for name, a in corpus():
             reference = reference_kron_square(a.matrix)
+            ev = np.linalg.eigvals(a.matrix)
+            offsets = np.abs(ev / np.max(np.abs(ev)) - 1.0)
             for factor in SCALES:
                 mode = FLOAT_MODE.scaled(factor)
-                pair = a.spectrum.kron_peak_pair(mode)
-                assert pair == reference(mode), (name, factor)
+                pair = reference(mode)
+                expected = pair.geometric == 1 and \
+                    offsets.min() <= mode.eps_cluster
+                assert mixing_routes(a, mode)["spectral-gap"].value == \
+                    expected, (name, factor)
                 repeated += pair.algebraic >= 2
                 checked += 1
-    assert checked == 3 * (42 + 6 + 4) and repeated == checked
+    assert checked == 3 * (200 + 13 + 42 + 6 + 4) and repeated >= 3 * 52
 
 
 JORDAN_J2 = [[1, 1], [0, 1]]
@@ -143,16 +134,15 @@ def _block_diag(*blocks):
 ], ids=["shear", "J2(1)+1", "J2(1)+1+1", "1+J2(-1)", "J3(1)", "J2(1)+J2(-1)",
         "J2(2)+J2(-2)+1"])
 def test_kron_peak_pair_counts_jordan_blocks(matrix, expected):
-    # defective peaks take the rank-profile count: J_p(lam) (x) J_q(mu)
-    # has min(p, q) blocks at lam mu
-    a = from_matrix(np.array(matrix, dtype=float), Orthant(len(matrix)))
-    reference = reference_kron_square(a.matrix)
-    exact = reference_kron_r2_pair(from_matrix(matrix, Orthant(len(matrix))))
-    assert exact == expected
+    # the exact pair at the peak r^2 of the Kronecker square:
+    # J_p(lam) (x) J_q(mu) has min(p, q) blocks at lam mu.  Its float twin
+    # reads not mixing at every probe, from A's eigenvalues alone.
+    a = from_matrix(matrix, Orthant(len(matrix)))
+    assert a.spectrum.kron_r2_pair == reference_kron_r2_pair(a) == expected
+    floats = from_matrix(np.array(matrix, dtype=float), Orthant(len(matrix)))
     for factor in SCALES:
         mode = FLOAT_MODE.scaled(factor)
-        assert a.spectrum.kron_peak_pair(mode) == reference(mode) == expected
-    assert a.spectrum._cluster_sv
+        assert not mixing_routes(floats, mode)["spectral-gap"], factor
 
 
 def _conjugates(matrix, seed, count=40):
@@ -170,22 +160,30 @@ def _conjugates(matrix, seed, count=40):
     (_block_diag(JORDAN_J2, JORDAN_J2_NEG), (4, 8)),
 ], ids=["shear", "J2(1)+1", "J2(1)+J2(-1)"])
 def test_kron_peak_pair_on_conjugated_jordan_blocks(matrix, expected):
-    # rounding splits a conjugated Jordan block into eigenvalues about
-    # 1e-8 apart, near eps_cluster.  The count never exceeds the exact one,
-    # and whenever the products still give the whole algebraic count, the
-    # rank profiles give the exact geometric count.  (1 (+) J2(-1) is left
-    # out: its simple peak is normalized by the split cluster's modulus, so
-    # its square misses the eps_rank cutoff, as it does in the full-square
-    # SVD.)
-    whole = 0
+    # rounding splits a conjugated Jordan block at r into eigenvalues about
+    # 1e-8 apart, near eps_cluster.  The exact pair says not mixing (its
+    # geometric count is 2 or more), and so does every float probe of a
+    # conjugate, which never reads r as algebraically simple either.
+    assert from_matrix(matrix, Orthant(len(matrix))).spectrum.kron_r2_pair \
+        == expected
+    assert expected[0] >= 2
     for a in _conjugates(matrix, 81, 60):
         for factor in SCALES:
-            pair = a.spectrum.kron_peak_pair(FLOAT_MODE.scaled(factor))
-            assert 1 <= pair.geometric <= min(pair.algebraic, expected[0])
-            if pair.algebraic == expected[1]:
-                assert pair == expected, factor
-                whole += 1
-    assert whole >= 40
+            mode = FLOAT_MODE.scaled(factor)
+            assert not ergodic_routes(a, mode)["eigenvalue-cluster"], factor
+            assert not mixing_routes(a, mode)["spectral-gap"], factor
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 17: rounding splits this J3(1) by about 1e-4, past "
+    "SPLIT_WINDOW, so both float routes read r as simple, with no flag"))
+def test_widely_split_jordan_block_is_not_misread_silently():
+    # eigenvalues 1.0001016 and 0.9999492 +- 8.8e-5 i
+    a = list(_conjugates([[1, 1, 0], [0, 1, 1], [0, 0, 1]], 81, 60))[29]
+    rep = classify(a)
+    flagged = [f for f in rep.hypothesis_flags
+               if f.split(":")[1:2] in (["ergodic"], ["mixing"])]
+    assert not (rep.ergodic or rep.mixing) or flagged
 
 
 @pytest.mark.parametrize("matrix", [
@@ -195,18 +193,12 @@ def test_kron_peak_pair_on_conjugated_jordan_blocks(matrix, expected):
     [[1, 1, 0], [0, 1, 1], [0, 0, 1]],
 ], ids=["shear", "J2(1)+1", "1+J2(-1)", "J3(1)"])
 def test_conjugated_jordan_block_never_reads_as_mixing(matrix):
-    # once the products give r^2 twice or more, the split partners of a
-    # defective peak stay in its cluster, so the count is never 1.
-    # (J2(1) (+) J2(-1) is left out: at the tightest probe, both of its
-    # clusters can split into simple eigenvalues.)
-    repeated = 0
+    # a split defective peak at r reads as two or more eigenvalues near r,
+    # or one beside another of modulus r; either way, not mixing
     for a in _conjugates(matrix, 82):
         for factor in SCALES:
-            pair = a.spectrum.kron_peak_pair(FLOAT_MODE.scaled(factor))
-            if pair.algebraic >= 2:
-                assert pair.geometric >= 2, factor
-                repeated += 1
-    assert repeated >= 40
+            mode = FLOAT_MODE.scaled(factor)
+            assert not mixing_routes(a, mode)["spectral-gap"], factor
 
 
 def test_kron_digraph_route_matches_product_digraph():
@@ -282,7 +274,7 @@ def test_primitive_maps_build_no_kronecker_square(kron_calls):
     kron_calls.clear()  # building the channel may use np.kron
     for a in maps:
         rep = classify(a)
-        assert rep.mixing and rep.multiplicity_r2_kron == (1, 1)
+        assert rep.mixing and rep.multiplicity_r2_kron is None
     assert kron_calls == []
 
 
@@ -293,22 +285,27 @@ def test_primitive_maps_build_no_kronecker_square(kron_calls):
 ], ids=["swap", "period-3-cycle", "periodic-20"])
 def test_repeated_peak_builds_no_kronecker_square(kron_calls, svd_rows,
                                                   matrix):
-    # r^2 is a repeated eigenvalue of the square on all three, so the
-    # geometric count runs
+    # r^2 is a repeated eigenvalue of the square on all three, from -r or
+    # a complex eigenvalue of modulus r; A's own moduli say so
     a = from_stochastic(np.array(matrix))
     rep = classify(a)
     assert not rep.mixing
-    assert min(rep.multiplicity_r2_kron) >= 2
+    assert rep.multiplicity_r2_kron is None
     assert kron_calls == []
     assert max(svd_rows, default=0) <= a.dim
 
 
 def test_svd_guard_sees_rank_profiles(svd_rows):
     # the guard above is not vacuous: a repeated eigenvalue at r (two
-    # closed classes) takes the d x d SVDs of its rank profile
+    # closed classes) takes the d x d SVD of A/r - I, and a Jordan block at
+    # r that rounding split takes the d x d SVDs of its rank profile
     a = from_stochastic(random_chain(np.random.default_rng(80), 12, "multi"))
-    assert classify(a).multiplicity_r2_kron.geometric >= 4
-    assert a.spectrum._cluster_sv and max(svd_rows) == a.dim
+    assert classify(a).multiplicity_r.geometric >= 2
+    assert max(svd_rows) == a.dim
+    svd_rows.clear()
+    b = next(_conjugates(JORDAN_J2, 81))
+    assert classify(b).multiplicity_r == (1, 2)
+    assert b.spectrum._split_sv and max(svd_rows) == b.dim
 
 
 # ---------------------------------------------------------------------------
